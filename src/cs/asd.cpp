@@ -34,13 +34,16 @@ double scaled_direction_into(Matrix& dir, const Matrix& grad,
     for (std::size_t i = 0; i < rank; ++i) {
         (*gram)(i, i) += effective_ridge;
     }
-    // D·W = G  ⇔  W·Dᵀ = Gᵀ (W symmetric); factor W in place and solve for
-    // Dᵀ in the transposed-gradient buffer.
-    Scratch gt(ws, rank, grad.rows());
-    transpose_into(*gt, grad);
+    // W⁻¹ from W's Cholesky factor (rank solves of rank×rank), then
+    // D = G·W⁻¹ as one GEMM over the gradient's rows.
+    Scratch inverse(ws, rank, rank);
+    inverse->fill(0.0);
+    for (std::size_t i = 0; i < rank; ++i) {
+        (*inverse)(i, i) = 1.0;
+    }
     cholesky_in_place(*gram);
-    cholesky_solve_in_place(*gram, *gt);
-    transpose_into(dir, *gt);
+    cholesky_solve_in_place(*gram, *inverse);
+    multiply_into(dir, grad, *inverse, ws.counters());
     // gram_with_ridge_into already folded λ₁I into the diagonal; subtract
     // it back out so the caller sees the factor's own ‖F‖²_F (exactly 0
     // for a collapsed factor, regardless of λ₁).
@@ -75,15 +78,16 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
     result.objective_history.reserve(options.max_iterations + 1);
     const std::size_t rank = result.l.cols();
 
-    // Buffers that live across iterations: the shared residuals plus one
-    // gradient/direction pair per factor. Everything else (Gram, transposed
-    // gradient, line-search products) is leased from `ws` inside each half
-    // step and recycled from its pool after the first iteration.
-    CsObjective::Residuals res;
+    // Buffers that live across iterations: the residuals (returned with
+    // the result), one gradient/direction pair per factor and the line
+    // search's data-sized product. The Gram and its inverse are leased
+    // from `ws` inside each half step and recycled after the first.
+    CsObjective::Residuals& res = result.residuals;
     Scratch grad_r(ws, result.r.rows(), rank);
     Scratch dir_r(ws, result.r.rows(), rank);
     Scratch grad_l(ws, result.l.rows(), rank);
     Scratch dir_l(ws, result.l.rows(), rank);
+    Scratch product(ws, objective.rows(), objective.cols());
 
     // The objective is quadratic along every search line, so each exact
     // line search reports its own decrease; we track f analytically and
@@ -93,6 +97,9 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
     result.objective_history.push_back(current);
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+        if (iter > 0 && iter % kAsdResidualRefreshPeriod == 0) {
+            objective.residuals_into(res, result.l, result.r, ws);
+        }
         const double previous = current;
         // Raw Gram traces of the scaled half steps (1.0 = not computed):
         // an exactly-zero trace is the rank-collapse signal.
@@ -100,7 +107,6 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
         double gram_trace_l = 1.0;
         // Algorithm 2 lines 11–13: descent in R with L fixed.
         {
-            objective.residuals_into(res, result.l, result.r, ws);
             objective.gradient_r_into(*grad_r, res, result.l, result.r, ws);
             const Matrix& direction = [&]() -> const Matrix& {
                 if (!options.scaled) {
@@ -113,13 +119,13 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
                 return *dir_r;
             }();
             const CsObjective::LineSearch step = objective.line_search_r(
-                res, result.l, result.r, direction, ws);
+                res, result.l, result.r, direction, *product, ws);
             axpy(result.r, -step.alpha, direction);
+            objective.step_residuals(res, *product, step.alpha);
             current -= step.decrease;
         }
         // Algorithm 2 lines 14–16: descent in L with R fixed.
         {
-            objective.residuals_into(res, result.l, result.r, ws);
             objective.gradient_l_into(*grad_l, res, result.l, result.r, ws);
             const Matrix& direction = [&]() -> const Matrix& {
                 if (!options.scaled) {
@@ -132,8 +138,9 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
                 return *dir_l;
             }();
             const CsObjective::LineSearch step = objective.line_search_l(
-                res, result.l, result.r, direction, ws);
+                res, result.l, result.r, direction, *product, ws);
             axpy(result.l, -step.alpha, direction);
+            objective.step_residuals(res, *product, step.alpha);
             current -= step.decrease;
         }
 

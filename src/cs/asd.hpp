@@ -3,8 +3,8 @@
 // Tanner & Wei's ASD [24] applied to f(L, R): alternately take an exact
 // steepest-descent step in R with L fixed, then in L with R fixed. f is
 // quadratic in each factor separately, so each step has a closed-form
-// optimal length (CsObjective::exact_step_*), and f decreases monotonically
-// — the property the convergence tests assert.
+// optimal length (CsObjective::line_search_*), and f decreases
+// monotonically — the property the convergence tests assert.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +15,12 @@
 #include "linalg/matrix.hpp"
 
 namespace mcs {
+
+/// Iterations between full recomputations of the residuals. In between,
+/// every half step moves them along its own line-search product
+/// (CsObjective::step_residuals); the refresh bounds the rounding drift
+/// that accumulates.
+constexpr std::size_t kAsdResidualRefreshPeriod = 16;
 
 /// Iteration control for ASD.
 struct AsdOptions {
@@ -37,6 +43,9 @@ struct AsdResult {
     Matrix l;
     Matrix r;
     std::vector<double> objective_history;  ///< f after each iteration
+    /// The residuals at (l, r) as the half steps maintained them, which
+    /// equal a fresh CsObjective::residuals_into up to rounding drift.
+    CsObjective::Residuals residuals;
     std::size_t iterations = 0;
     bool converged = false;
 };

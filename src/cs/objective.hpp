@@ -11,7 +11,8 @@
 //
 // f is a quadratic in L for fixed R (and vice versa), so the ASD steepest-
 // descent step has a closed-form exact line search; this class exposes the
-// pieces the solver needs (value, per-factor gradient, per-direction step).
+// pieces of one ASD half step (value, per-factor gradient, exact step and
+// the residual update that follows it).
 #pragma once
 
 #include "linalg/kernels.hpp"
@@ -40,81 +41,63 @@ public:
     /// f(L, R).
     double value(const Matrix& l, const Matrix& r) const;
 
-    /// ∇_L f = 2·M·R + 2λ₁·L + 2λ₂·𝕋-adjoint(E₃)·R, with
-    /// M = (LRᵀ)∘ℬ − S and E₃ = Δ(LRᵀ) − C.
-    Matrix gradient_l(const Matrix& l, const Matrix& r) const;
+    // ---- The ASD half step ---------------------------------------------
+    // A half step in L (R is symmetric) costs two data-sized GEMMs and two
+    // sweeps over the n×t data:
+    //   gradient_l_into   ∇_L f = 2·G·R + 2λ₁·L                   (GEMM)
+    //   line_search_l     P = D·Rᵀ (GEMM), then one sweep over P, ℬ, M
+    //                     and E₃ for the exact step along D
+    //   step_residuals    one sweep: M −= α·(P∘ℬ), E₃ −= α·ΔP, and G
+    //                     re-formed from them
+    // so the residuals follow the factors without another L·Rᵀ product.
+    // Every buffer is caller-owned or comes from the caller's Workspace:
+    // `res`, `grad` and `p` are (re)shaped on first use and reused
+    // verbatim afterwards, so a warm ASD loop never touches the heap. The
+    // sweeps are plain loops with a fixed summation order, so they give
+    // the same bits under every kernel tier, thread count and machine.
 
-    /// ∇_R f, symmetric to gradient_l.
-    Matrix gradient_r(const Matrix& l, const Matrix& r) const;
-
-    /// Exact minimiser of α ↦ f(L − α·G, R) (quadratic in α).
-    double exact_step_l(const Matrix& l, const Matrix& r,
-                        const Matrix& g) const;
-
-    /// Exact minimiser of α ↦ f(L, R − α·G).
-    double exact_step_r(const Matrix& l, const Matrix& r,
-                        const Matrix& g) const;
-
-    // ---- Low-level primitives used by the ASD inner loop ----------------
-    // These let the solver compute the shared residuals once per half-step
-    // instead of once per gradient/step call, and track the objective
-    // analytically (each exact line search knows its own decrease), halving
-    // the number of L·Rᵀ products per iteration.
-
-    /// Shared residuals: M = (LRᵀ)∘ℬ − S and E₃ = Δ(LRᵀ) − C (E₃ is an
-    /// empty matrix when the temporal term is inactive).
+    /// The residuals at (L, R) and the data-sized factor both gradients
+    /// share. E₃ and G are empty when f₃ is inactive (kNone or λ₂ = 0);
+    /// G is then M itself.
     struct Residuals {
-        Matrix m;
-        Matrix e3;
+        Matrix m;   ///< M = (LRᵀ)∘ℬ − S
+        Matrix e3;  ///< E₃ = Δ(LRᵀ) − C, with C = τ·V̄ or 0
+        Matrix g;   ///< G = M + λ₂·Δᵀ(E₃)
     };
-    Residuals residuals(const Matrix& l, const Matrix& r) const;
 
-    /// Objective value from precomputed residuals.
-    double value_from(const Residuals& res, const Matrix& l,
-                      const Matrix& r) const;
-
-    /// Gradients from precomputed residuals.
-    Matrix gradient_l_from(const Residuals& res, const Matrix& l,
-                           const Matrix& r) const;
-    Matrix gradient_r_from(const Residuals& res, const Matrix& l,
-                           const Matrix& r) const;
-
-    /// Exact line search along direction `dir`, from precomputed residuals.
-    /// Returns the optimal α and the resulting objective decrease
-    /// (b²/4a ≥ 0, exact because f is quadratic along the line).
-    struct LineSearch {
-        double alpha = 0.0;
-        double decrease = 0.0;
-    };
-    LineSearch line_search_l(const Residuals& res, const Matrix& l,
-                             const Matrix& r, const Matrix& dir) const;
-    LineSearch line_search_r(const Residuals& res, const Matrix& l,
-                             const Matrix& r, const Matrix& dir) const;
-
-    // ---- Workspace-backed variants (the zero-allocation kernel API) -----
-    // Same arithmetic as the methods above, but all temporaries come from
-    // the caller's Workspace and results land in caller-owned buffers, so a
-    // warm ASD loop never touches the heap. `res.m` / `res.e3` and `grad`
-    // are (re)shaped on first use and reused verbatim afterwards.
-
-    /// residuals() into caller-owned `res` (allocates inside `res` only on
-    /// shape change — i.e. the first call).
+    /// Recompute `res` in full from (L, R): one L·Rᵀ product.
     void residuals_into(Residuals& res, const Matrix& l, const Matrix& r,
                         Workspace& ws) const;
 
-    /// gradient_l_from / gradient_r_from into caller-owned `grad`.
+    /// Objective value from the residuals at (L, R).
+    double value_from(const Residuals& res, const Matrix& l,
+                      const Matrix& r) const;
+
+    /// ∇_L f = 2·G·R + 2λ₁·L and ∇_R f = 2·Gᵀ·L + 2λ₁·R into `grad`.
     void gradient_l_into(Matrix& grad, const Residuals& res, const Matrix& l,
                          const Matrix& r, Workspace& ws) const;
     void gradient_r_into(Matrix& grad, const Residuals& res, const Matrix& l,
                          const Matrix& r, Workspace& ws) const;
 
-    /// line_search_l / line_search_r with Workspace scratch.
+    /// Exact line search along direction `dir`: the optimal α and the
+    /// objective decrease it buys (b²/4a ≥ 0, exact because f is
+    /// quadratic along the line). The step's data-sized product — D·Rᵀ for
+    /// L, L·Dᵀ for R — lands in `p` for step_residuals.
+    struct LineSearch {
+        double alpha = 0.0;
+        double decrease = 0.0;
+    };
     LineSearch line_search_l(const Residuals& res, const Matrix& l,
-                             const Matrix& r, const Matrix& dir,
+                             const Matrix& r, const Matrix& dir, Matrix& p,
                              Workspace& ws) const;
     LineSearch line_search_r(const Residuals& res, const Matrix& l,
-                             const Matrix& r, const Matrix& dir,
+                             const Matrix& r, const Matrix& dir, Matrix& p,
                              Workspace& ws) const;
+
+    /// Move `res` to the factors after the step F ← F − α·D whose product
+    /// the line search left in `p`: exact in real arithmetic, because
+    /// L·Rᵀ moves by −α·P.
+    void step_residuals(Residuals& res, const Matrix& p, double alpha) const;
 
     std::size_t rows() const { return s_.rows(); }
     std::size_t cols() const { return s_.cols(); }
@@ -125,7 +108,13 @@ public:
     const Matrix& mask() const { return gbim_; }
 
 private:
-    bool temporal_active() const { return mode_ != TemporalMode::kNone; }
+    bool temporal_active() const {
+        return mode_ != TemporalMode::kNone && lambda2_ != 0.0;
+    }
+    LineSearch line_search(const Residuals& res, const Matrix& p,
+                           const Matrix& factor, const Matrix& dir) const;
+    /// MCS_CHECK that `res` has the shapes residuals_into gives it.
+    void check_residuals(const Residuals& res, const char* op) const;
 
     Matrix s_;      // S∘ℬ
     Matrix gbim_;   // ℬ

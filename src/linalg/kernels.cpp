@@ -317,16 +317,6 @@ void transpose_multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
                    a.cols(), b.cols(), a.rows());
 }
 
-void transpose_into(Matrix& dst, const Matrix& a) {
-    check_shape(dst, a.cols(), a.rows(), "transpose_into");
-    check_not_aliased(dst, a, "transpose_into");
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t j = 0; j < a.cols(); ++j) {
-            dst(j, i) = a(i, j);
-        }
-    }
-}
-
 void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
                           const Matrix& mask, const Matrix& s,
                           PipelineCounters* counters) {
@@ -415,32 +405,6 @@ void gram_with_ridge_into(Matrix& dst, const Matrix& a, double ridge,
     transpose_multiply_into(dst, a, a, counters);
     for (std::size_t i = 0; i < dst.rows(); ++i) {
         dst(i, i) += ridge;
-    }
-}
-
-void temporal_diff_into(Matrix& dst, const Matrix& x) {
-    check_shape(dst, x.rows(), x.cols(), "temporal_diff_into");
-    check_not_aliased(dst, x, "temporal_diff_into");
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-        dst(i, 0) = 0.0;
-        for (std::size_t j = 1; j < x.cols(); ++j) {
-            dst(i, j) = x(i, j) - x(i, j - 1);
-        }
-    }
-}
-
-void temporal_diff_adjoint_into(Matrix& dst, const Matrix& e) {
-    check_shape(dst, e.rows(), e.cols(), "temporal_diff_adjoint_into");
-    check_not_aliased(dst, e, "temporal_diff_adjoint_into");
-    const std::size_t t = e.cols();
-    for (std::size_t i = 0; i < e.rows(); ++i) {
-        for (std::size_t j = 0; j < t; ++j) {
-            double value = (j >= 1) ? e(i, j) : 0.0;
-            if (j + 1 < t) {
-                value -= e(i, j + 1);
-            }
-            dst(i, j) = value;
-        }
     }
 }
 

@@ -109,9 +109,6 @@ void multiply_transposed_into(Matrix& dst, const Matrix& a, const Matrix& b,
 void transpose_multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
                              PipelineCounters* counters = nullptr);
 
-/// dst = aᵀ (dst is a.cols x a.rows).
-void transpose_into(Matrix& dst, const Matrix& a);
-
 /// dst = (l · rᵀ) ∘ mask − s, the masked CS fitting residual (see
 /// linalg/ops.hpp masked_residual for the shape contract).
 void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
@@ -121,12 +118,6 @@ void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
 /// dst = aᵀa + ridge·I (dst is a.cols x a.cols).
 void gram_with_ridge_into(Matrix& dst, const Matrix& a, double ridge,
                           PipelineCounters* counters = nullptr);
-
-/// dst = X·𝕋 with the first column zeroed (see linalg/temporal.hpp).
-void temporal_diff_into(Matrix& dst, const Matrix& x);
-
-/// Adjoint of temporal_diff_into under the Frobenius inner product.
-void temporal_diff_adjoint_into(Matrix& dst, const Matrix& e);
 
 /// Recycling arena for scratch matrices.
 ///

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "cs/init.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernel_tier.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/temporal.hpp"
 
 namespace mcs {
 namespace {
@@ -263,6 +266,227 @@ INSTANTIATE_TEST_SUITE_P(
     RankAndDensity, AsdDescentProperty,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4),
                        ::testing::Values(0.4, 0.6, 0.9)));
+
+// ---- The maintained residuals against a reference ----------------------
+//
+// ASD moves its residuals along each step's line-search product instead of
+// recomputing them, with a full recomputation every
+// kAsdResidualRefreshPeriod iterations. The tests below pin that loop to
+// the objective's definition: after many iterations the maintained
+// residuals and the analytic objective track still match a fresh
+// evaluation, and one iteration matches a textbook half step.
+
+// A dense (not low-rank) problem, so the objective stays well away from 0
+// and relative comparisons of f are meaningful.
+struct SolveProblem {
+    Matrix s;
+    Matrix mask;
+    Matrix velocity;
+    FactorPair start;
+};
+
+SolveProblem make_solve_problem(std::uint64_t seed) {
+    Rng rng(seed);
+    SolveProblem p;
+    p.s = random_matrix(18, 26, rng, 100.0);
+    p.mask = Matrix(18, 26);
+    for (auto& x : p.mask.data()) {
+        x = rng.bernoulli(0.7) ? 1.0 : 0.0;
+    }
+    p.velocity = random_matrix(18, 26, rng, 5.0);
+    p.start = warm_start(hadamard(p.s, p.mask), p.mask, 3);
+    return p;
+}
+
+// The objective variants the loop distinguishes: the full f₃, its
+// target-free form, no f₃ at all, and a switched-off λ₂.
+struct Variant {
+    TemporalMode mode;
+    double lambda2;
+};
+constexpr Variant kVariants[] = {{TemporalMode::kVelocity, 0.5},
+                                 {TemporalMode::kTemporalOnly, 0.5},
+                                 {TemporalMode::kNone, 0.5},
+                                 {TemporalMode::kVelocity, 0.0}};
+constexpr double kTau = 30.0;
+constexpr double kLambda1 = 0.2;
+
+class AsdDriftProperty
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+TEST_P(AsdDriftProperty, MaintainedResidualsMatchFreshOnes) {
+    const auto [variant_index, scaled, fast] = GetParam();
+    const Variant variant = kVariants[variant_index];
+    const KernelTierScope tier(fast ? KernelTier::kFast : KernelTier::kExact);
+    const SolveProblem p = make_solve_problem(40 + variant_index);
+    const CsObjective objective(p.s, p.mask, p.velocity, kTau, kLambda1,
+                                variant.lambda2, variant.mode);
+    AsdOptions options;
+    options.scaled = scaled;
+    options.max_iterations = 37;
+    static_assert(37 % kAsdResidualRefreshPeriod != 0,
+                  "the run must end between two refreshes");
+    options.relative_tolerance = 0.0;  // force all 37
+    const AsdResult result =
+        asd_minimize(objective, p.start.l, p.start.r, options);
+    ASSERT_EQ(result.iterations, 37u);
+
+    Workspace ws;
+    CsObjective::Residuals fresh;
+    objective.residuals_into(fresh, result.l, result.r, ws);
+    const double bound = 1e-9 * frobenius_norm(objective.masked_sensory());
+    EXPECT_LE(frobenius_norm(subtract(result.residuals.m, fresh.m)), bound);
+    ASSERT_EQ(result.residuals.e3.empty(), fresh.e3.empty());
+    ASSERT_EQ(result.residuals.g.empty(), fresh.g.empty());
+    if (!fresh.e3.empty()) {
+        EXPECT_LE(frobenius_norm(subtract(result.residuals.e3, fresh.e3)),
+                  bound);
+        EXPECT_LE(frobenius_norm(subtract(result.residuals.g, fresh.g)),
+                  bound);
+    }
+    const double f = objective.value(result.l, result.r);
+    EXPECT_NEAR(result.objective_history.back(), f, 1e-9 * f);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsScaledAndTiers, AsdDriftProperty,
+    ::testing::Combine(::testing::Range(0, 4), ::testing::Bool(),
+                       ::testing::Bool()));
+
+// One ASD iteration written out from the value-returning ops: full
+// residuals before each half step, both gradient terms, the preconditioner
+// as a dense SPD solve, and the exact step from the quadratic's
+// coefficients.
+class TextbookAsd {
+public:
+    TextbookAsd(const SolveProblem& p, const Variant& variant, bool scaled)
+        : p_(p),
+          temporal_(variant.mode != TemporalMode::kNone &&
+                    variant.lambda2 != 0.0),
+          lambda2_(variant.lambda2),
+          scaled_(scaled),
+          target_(p.s.rows(), p.s.cols()) {
+        if (variant.mode == TemporalMode::kVelocity) {
+            target_ = scale(p.velocity, kTau);
+            for (std::size_t i = 0; i < target_.rows(); ++i) {
+                target_(i, 0) = 0.0;
+            }
+        }
+    }
+
+    FactorPair iterate(FactorPair f) const {
+        // Lines 11–13: descent in R. ∇_R f = 2·Mᵀ·L + 2λ₁R + 2λ₂·Δᵀ(E₃)ᵀ·L.
+        {
+            const Matrix x = multiply_transposed(f.l, f.r);
+            const Matrix m = fit_residual(x);
+            const Matrix e3 = subtract(temporal_diff(x), target_);
+            Matrix grad = scale(add(transpose_multiply(m, f.l),
+                                    scale(f.r, kLambda1)),
+                                2.0);
+            if (temporal_) {
+                grad = add(grad, scale(transpose_multiply(
+                                           temporal_diff_adjoint(e3), f.l),
+                                       2.0 * lambda2_));
+            }
+            const Matrix dir = direction(grad, f.l);
+            const Matrix product = multiply_transposed(f.l, dir);
+            f.r = subtract(f.r, scale(dir, step(m, e3, product, f.r, dir)));
+        }
+        // Lines 14–16: descent in L. ∇_L f = 2·M·R + 2λ₁L + 2λ₂·Δᵀ(E₃)·R.
+        {
+            const Matrix x = multiply_transposed(f.l, f.r);
+            const Matrix m = fit_residual(x);
+            const Matrix e3 = subtract(temporal_diff(x), target_);
+            Matrix grad =
+                scale(add(multiply(m, f.r), scale(f.l, kLambda1)), 2.0);
+            if (temporal_) {
+                grad = add(grad,
+                           scale(multiply(temporal_diff_adjoint(e3), f.r),
+                                 2.0 * lambda2_));
+            }
+            const Matrix dir = direction(grad, f.r);
+            const Matrix product = multiply_transposed(dir, f.r);
+            f.l = subtract(f.l, scale(dir, step(m, e3, product, f.l, dir)));
+        }
+        return f;
+    }
+
+private:
+    Matrix fit_residual(const Matrix& x) const {
+        return subtract(hadamard(x, p_.mask), hadamard(p_.s, p_.mask));
+    }
+
+    // D = ∇·W⁻¹, W = FᵀF + λ₁I plus the trace-scaled safety ridge.
+    Matrix direction(const Matrix& grad, const Matrix& other) const {
+        if (!scaled_) {
+            return grad;
+        }
+        Matrix w = transpose_multiply(other, other);
+        double trace = 0.0;
+        for (std::size_t i = 0; i < w.rows(); ++i) {
+            w(i, i) += kLambda1;
+            trace += w(i, i);
+        }
+        const double ridge = AsdOptions{}.gram_ridge * trace + 1e-300;
+        for (std::size_t i = 0; i < w.rows(); ++i) {
+            w(i, i) += ridge;
+        }
+        return transpose(solve_spd(w, transpose(grad)));
+    }
+
+    // Minimiser of α ↦ f(F − α·D), where LRᵀ moves by −α·P.
+    double step(const Matrix& m, const Matrix& e3, const Matrix& product,
+                const Matrix& factor, const Matrix& dir) const {
+        const Matrix masked = hadamard(product, p_.mask);
+        double a = frobenius_norm_squared(masked) +
+                   kLambda1 * frobenius_norm_squared(dir);
+        double b = -2.0 * (frobenius_dot(m, masked) +
+                           kLambda1 * frobenius_dot(factor, dir));
+        if (temporal_) {
+            const Matrix dp = temporal_diff(product);
+            a += lambda2_ * frobenius_norm_squared(dp);
+            b += -2.0 * lambda2_ * frobenius_dot(e3, dp);
+        }
+        return -b / (2.0 * a);
+    }
+
+    const SolveProblem& p_;
+    bool temporal_;
+    double lambda2_;
+    bool scaled_;
+    Matrix target_;
+};
+
+class AsdReferenceProperty
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(AsdReferenceProperty, OneIterationMatchesTextbookHalfSteps) {
+    const auto [variant_index, scaled] = GetParam();
+    const Variant variant = kVariants[variant_index];
+    const SolveProblem p = make_solve_problem(60 + variant_index);
+    const CsObjective objective(p.s, p.mask, p.velocity, kTau, kLambda1,
+                                variant.lambda2, variant.mode);
+    AsdOptions options;
+    options.scaled = scaled;
+    options.max_iterations = 1;
+    const AsdResult result =
+        asd_minimize(objective, p.start.l, p.start.r, options);
+    ASSERT_EQ(result.iterations, 1u);
+
+    const FactorPair expected =
+        TextbookAsd(p, variant, scaled).iterate(p.start);
+    EXPECT_LE(frobenius_norm(subtract(result.l, expected.l)),
+              1e-10 * frobenius_norm(expected.l));
+    EXPECT_LE(frobenius_norm(subtract(result.r, expected.r)),
+              1e-10 * frobenius_norm(expected.r));
+    // The step moved the factors: the comparison is not vacuous.
+    EXPECT_GT(frobenius_norm(subtract(result.r, p.start.r)),
+              1e-6 * frobenius_norm(p.start.r));
+}
+
+INSTANTIATE_TEST_SUITE_P(VariantsAndScaled, AsdReferenceProperty,
+                         ::testing::Combine(::testing::Range(0, 4),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace mcs

@@ -1,5 +1,6 @@
 // Tests for the modified-CS objective: values, analytic gradients checked
-// against finite differences, and exact line searches.
+// against finite differences, exact line searches and the residual update
+// that follows a step.
 #include "cs/objective.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "linalg/ops.hpp"
+#include "linalg/temporal.hpp"
 
 namespace mcs {
 namespace {
@@ -66,6 +68,39 @@ double fd_gradient_r(const CsObjective& objective, Problem p, std::size_t j,
            (2.0 * h);
 }
 
+CsObjective::Residuals residuals_at(const CsObjective& objective,
+                                    const Matrix& l, const Matrix& r) {
+    Workspace ws;
+    CsObjective::Residuals res;
+    objective.residuals_into(res, l, r, ws);
+    return res;
+}
+
+Matrix gradient_l(const CsObjective& objective, const Matrix& l,
+                  const Matrix& r) {
+    Workspace ws;
+    Matrix grad;
+    objective.gradient_l_into(grad, residuals_at(objective, l, r), l, r, ws);
+    return grad;
+}
+
+Matrix gradient_r(const CsObjective& objective, const Matrix& l,
+                  const Matrix& r) {
+    Workspace ws;
+    Matrix grad;
+    objective.gradient_r_into(grad, residuals_at(objective, l, r), l, r, ws);
+    return grad;
+}
+
+CsObjective::LineSearch line_search_l(const CsObjective& objective,
+                                      const Matrix& l, const Matrix& r,
+                                      const Matrix& dir) {
+    Workspace ws;
+    Matrix p;
+    return objective.line_search_l(residuals_at(objective, l, r), l, r, dir,
+                                   p, ws);
+}
+
 TEST(CsObjective, ValueIsSumOfThreeTerms) {
     Problem p = make_problem(6, 10, 3, 1);
     const CsObjective with_all(p.s, p.gbim, p.velocity, 30.0, 0.5, 0.25,
@@ -108,7 +143,7 @@ TEST_P(GradientProperty, AnalyticMatchesFiniteDifferenceL) {
     Problem p = make_problem(5, 9, 3, 100 + GetParam());
     const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.3, 0.2,
                                 mode);
-    const Matrix grad = objective.gradient_l(p.l, p.r);
+    const Matrix grad = gradient_l(objective, p.l, p.r);
     for (const auto& [i, k] :
          {std::pair<std::size_t, std::size_t>{0, 0}, {2, 1}, {4, 2}}) {
         const double fd = fd_gradient_l(objective, p, i, k, 1e-5);
@@ -123,7 +158,7 @@ TEST_P(GradientProperty, AnalyticMatchesFiniteDifferenceR) {
     Problem p = make_problem(5, 9, 3, 200 + GetParam());
     const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.3, 0.2,
                                 mode);
-    const Matrix grad = objective.gradient_r(p.l, p.r);
+    const Matrix grad = gradient_r(objective, p.l, p.r);
     for (const auto& [j, k] :
          {std::pair<std::size_t, std::size_t>{0, 0}, {4, 1}, {8, 2}}) {
         const double fd = fd_gradient_r(objective, p, j, k, 1e-5);
@@ -138,8 +173,8 @@ TEST(CsObjective, ExactStepMinimisesAlongGradient) {
     Problem p = make_problem(6, 10, 3, 3);
     const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.1, 0.1,
                                 TemporalMode::kVelocity);
-    const Matrix grad = objective.gradient_l(p.l, p.r);
-    const double alpha = objective.exact_step_l(p.l, p.r, grad);
+    const Matrix grad = gradient_l(objective, p.l, p.r);
+    const double alpha = line_search_l(objective, p.l, p.r, grad).alpha;
     ASSERT_GT(alpha, 0.0);
     const auto value_at = [&](double a) {
         Matrix moved = p.l;
@@ -159,9 +194,8 @@ TEST(CsObjective, LineSearchDecreaseIsExact) {
     Problem p = make_problem(6, 10, 3, 4);
     const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.1, 0.1,
                                 TemporalMode::kVelocity);
-    const auto res = objective.residuals(p.l, p.r);
-    const Matrix grad = objective.gradient_l_from(res, p.l, p.r);
-    const auto step = objective.line_search_l(res, p.l, p.r, grad);
+    const Matrix grad = gradient_l(objective, p.l, p.r);
+    const auto step = line_search_l(objective, p.l, p.r, grad);
     Matrix moved = p.l;
     Matrix delta = grad;
     delta *= step.alpha;
@@ -176,21 +210,85 @@ TEST(CsObjective, ResidualsMatchDefinitions) {
     Problem p = make_problem(4, 7, 2, 5);
     const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.1, 0.1,
                                 TemporalMode::kVelocity);
-    const auto res = objective.residuals(p.l, p.r);
+    const auto res = residuals_at(objective, p.l, p.r);
+    const Matrix x = multiply_transposed(p.l, p.r);
     const Matrix expected_m =
-        subtract(hadamard(multiply_transposed(p.l, p.r), p.gbim),
-                 hadamard(p.s, p.gbim));
+        subtract(hadamard(x, p.gbim), hadamard(p.s, p.gbim));
     EXPECT_TRUE(approx_equal(res.m, expected_m, 1e-10));
     EXPECT_EQ(res.e3.rows(), 4u);
     EXPECT_EQ(res.e3.cols(), 7u);
+    Matrix target = scale(p.velocity, 30.0);
+    for (std::size_t i = 0; i < 4; ++i) {
+        target(i, 0) = 0.0;
+    }
+    const Matrix expected_e3 = subtract(temporal_diff(x), target);
+    EXPECT_TRUE(approx_equal(res.e3, expected_e3, 1e-10));
+    const Matrix expected_g =
+        add(expected_m, scale(temporal_diff_adjoint(expected_e3), 0.1));
+    EXPECT_TRUE(approx_equal(res.g, expected_g, 1e-10));
 }
+
+TEST(CsObjective, InactiveTemporalTermLeavesOnlyM) {
+    Problem p = make_problem(4, 7, 2, 9);
+    for (const auto& objective :
+         {CsObjective(p.s, p.gbim, p.velocity, 30.0, 0.1, 0.1,
+                      TemporalMode::kNone),
+          CsObjective(p.s, p.gbim, p.velocity, 30.0, 0.1, 0.0,
+                      TemporalMode::kVelocity)}) {
+        const auto res = residuals_at(objective, p.l, p.r);
+        EXPECT_EQ(res.m.rows(), 4u);
+        EXPECT_TRUE(res.e3.empty());
+        EXPECT_TRUE(res.g.empty());
+    }
+}
+
+// After the step F ← F − α·D the maintained residuals match a fresh
+// computation at the moved factors, in every mode and for both factors.
+class StepResidualsProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(StepResidualsProperty, MatchFreshResidualsAfterStep) {
+    const auto mode = static_cast<TemporalMode>(GetParam() % 3);
+    const bool step_l = GetParam() >= 3;
+    Problem p = make_problem(6, 11, 3, 300 + GetParam());
+    const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.2, 0.3,
+                                mode);
+    Workspace ws;
+    CsObjective::Residuals res = residuals_at(objective, p.l, p.r);
+    Matrix grad;
+    Matrix product;
+    CsObjective::LineSearch step;
+    if (step_l) {
+        objective.gradient_l_into(grad, res, p.l, p.r, ws);
+        step = objective.line_search_l(res, p.l, p.r, grad, product, ws);
+        axpy(p.l, -step.alpha, grad);
+    } else {
+        objective.gradient_r_into(grad, res, p.l, p.r, ws);
+        step = objective.line_search_r(res, p.l, p.r, grad, product, ws);
+        axpy(p.r, -step.alpha, grad);
+    }
+    ASSERT_GT(step.alpha, 0.0);
+    objective.step_residuals(res, product, step.alpha);
+    const auto fresh = residuals_at(objective, p.l, p.r);
+    const double scale_s = frobenius_norm(p.s);
+    EXPECT_LE(frobenius_norm(subtract(res.m, fresh.m)), 1e-12 * scale_s);
+    EXPECT_EQ(res.e3.empty(), fresh.e3.empty());
+    EXPECT_EQ(res.g.empty(), fresh.g.empty());
+    if (!fresh.e3.empty()) {
+        EXPECT_LE(frobenius_norm(subtract(res.e3, fresh.e3)),
+                  1e-12 * scale_s);
+        EXPECT_LE(frobenius_norm(subtract(res.g, fresh.g)), 1e-12 * scale_s);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModesBothFactors, StepResidualsProperty,
+                         ::testing::Range(0, 6));
 
 TEST(CsObjective, ZeroDirectionGivesZeroStep) {
     Problem p = make_problem(4, 7, 2, 6);
     const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 0.0, 0.0,
                                 TemporalMode::kNone);
     const Matrix zero(4, 2);
-    EXPECT_DOUBLE_EQ(objective.exact_step_l(p.l, p.r, zero), 0.0);
+    EXPECT_DOUBLE_EQ(line_search_l(objective, p.l, p.r, zero).alpha, 0.0);
 }
 
 TEST(CsObjective, MasksSensoryValuesAtUntrustedCells) {

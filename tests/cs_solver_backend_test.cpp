@@ -63,8 +63,8 @@ TEST(SolverBackendRegistry, KindsNamesAndCapabilities) {
 TEST(SolverBackendRegistry, ParseAndToStringRoundTrip) {
     EXPECT_EQ(parse_solver_kind("asd"), SolverKind::kAsd);
     EXPECT_EQ(parse_solver_kind("lrsd"), SolverKind::kLrsd);
-    EXPECT_EQ(to_string(SolverKind::kAsd), "asd");
-    EXPECT_EQ(to_string(SolverKind::kLrsd), "lrsd");
+    EXPECT_STREQ(to_string(SolverKind::kAsd), "asd");
+    EXPECT_STREQ(to_string(SolverKind::kLrsd), "lrsd");
     EXPECT_THROW(parse_solver_kind("simplex"), Error);
 }
 

@@ -22,7 +22,6 @@
 #include "cs/objective.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/ops.hpp"
-#include "linalg/temporal.hpp"
 
 namespace mcs {
 namespace {
@@ -87,10 +86,6 @@ TEST(Kernels, ProductsMatchValueOpsExactly) {
     Matrix atd = garbage(3, 4);
     transpose_multiply_into(atd, a, d);
     EXPECT_TRUE(atd == transpose_multiply(a, d));
-
-    Matrix at = garbage(3, 5);
-    transpose_into(at, a);
-    EXPECT_TRUE(at == transpose(a));
 }
 
 TEST(Kernels, MaskedResidualMatchesValueOpExactly) {
@@ -108,22 +103,13 @@ TEST(Kernels, MaskedResidualMatchesValueOpExactly) {
     EXPECT_TRUE(dst == masked_residual(l, r, mask, s));
 }
 
-TEST(Kernels, GramAndTemporalMatchValueOpsExactly) {
+TEST(Kernels, GramMatchesValueOpExactly) {
     Rng rng(11);
     const Matrix a = random_matrix(7, 3, rng);
 
     Matrix gram = garbage(3, 3);
     gram_with_ridge_into(gram, a, 0.25);
     EXPECT_TRUE(gram == gram_with_ridge(a, 0.25));
-
-    const Matrix x = random_matrix(4, 6, rng);
-    Matrix diff = garbage(4, 6);
-    temporal_diff_into(diff, x);
-    EXPECT_TRUE(diff == temporal_diff(x));
-
-    Matrix adj = garbage(4, 6);
-    temporal_diff_adjoint_into(adj, x);
-    EXPECT_TRUE(adj == temporal_diff_adjoint(x));
 }
 
 TEST(Kernels, GemmFlopsAreCounted) {
@@ -492,9 +478,6 @@ TEST(KernelTiers, AliasedDestinationThrows) {
     EXPECT_THROW(multiply_into(sq, other, sq), Error);
     EXPECT_THROW(multiply_transposed_into(sq, sq, other), Error);
     EXPECT_THROW(transpose_multiply_into(sq, sq, other), Error);
-    EXPECT_THROW(transpose_into(sq, sq), Error);
-    EXPECT_THROW(temporal_diff_into(sq, sq), Error);
-    EXPECT_THROW(temporal_diff_adjoint_into(sq, sq), Error);
 
     Matrix masked = random_matrix(6, 6, rng);
     const Matrix lf = random_matrix(6, 2, rng);

@@ -854,21 +854,23 @@ int cmd_clean(const Args& args) {
         stats["kernel"] = kernel_info(tier);
         std::cout << stats.dump(2) << "\n";
     }
+    // Status lines go to stderr, so that stdout holds only the
+    // --stats-json document and parses as JSON.
     if (checkpoint.enabled) {
-        std::cout << "checkpoint: " << checkpoint.shards_loaded
+        std::cerr << "checkpoint: " << checkpoint.shards_loaded
                   << " shard(s) restored, " << checkpoint.shards_run
                   << " run, " << checkpoint.corrupt_frames
                   << " corrupt frame(s)"
                   << (checkpoint.torn_tail ? ", torn tail" : "") << "\n";
     }
     if (defense_spec.has_value()) {
-        std::cout << "defense: " << defense_result.quarantined.size()
+        std::cerr << "defense: " << defense_result.quarantined.size()
                   << " quarantined (" << defense_result.reinstated.size()
                   << " reinstated, " << defense_result.confirmed.size()
                   << " confirmed), " << defense_result.outages.size()
                   << " outage block(s)\n";
     }
-    std::cout << "cleaned trace written to " << args.get("out") << " ("
+    std::cerr << "cleaned trace written to " << args.get("out") << " ("
               << flagged << " readings flagged, " << result.iterations
               << " iterations)\n";
     if (args.has("strict")) {
@@ -1073,7 +1075,8 @@ int cmd_serve(const Args& args) {
         stats_json["kernel"] = kernel_info(tier);
         std::cout << stats_json.dump(2) << "\n";
     }
-    std::cout << "served " << stats.uploads_accepted << " slot(s) ("
+    // To stderr, like clean's status lines: stdout is the JSON document.
+    std::cerr << "served " << stats.uploads_accepted << " slot(s) ("
               << stats.slots_replayed << " replayed, "
               << stats.uploads_rejected << " rejected, "
               << stats.slots_dropped << " lost, "

@@ -53,6 +53,16 @@ echo "== stats-json =="
 grep -q '"workspace_allocations"' "$WORKDIR/clean_stats.out"
 grep -q '"asd_iterations"' "$WORKDIR/clean_stats.out"
 grep -q '"workspace_allocations"' "$WORKDIR/report3.json"
+# Status lines go to stderr: the whole of stdout is one JSON document.
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+    "$WORKDIR/clean_stats.out"
+"$ITSCS" serve --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
+    --window 30 --stride 15 --stats-json > "$WORKDIR/serve_stats.out"
+python3 - "$WORKDIR/serve_stats.out" <<'EOF'
+import json, sys
+stats = json.load(open(sys.argv[1]))
+assert stats["counters"]["asd_iterations"] > 0, stats["counters"]
+EOF
 # Instrumented demo: --json merges the counters as a "stats" member.
 "$ITSCS" demo --alpha 0.1 --beta 0.1 --json --stats-json \
     > "$WORKDIR/demo_stats.out"
@@ -126,8 +136,7 @@ grep -q '"solver": "lrsd"' "$WORKDIR/report_lrsd.json"
 grep -q '"solver_backend": "lrsd"' "$WORKDIR/lrsd_stats.out"
 python3 - "$WORKDIR/lrsd_stats.out" <<'EOF'
 import json, sys
-# The stats JSON is followed by the one-line human summary.
-stats, _ = json.JSONDecoder().raw_decode(open(sys.argv[1]).read())
+stats = json.load(open(sys.argv[1]))
 counters = stats["counters"]
 assert counters["solves_lrsd"] > 0 and counters["solves_asd"] == 0, counters
 assert counters["lrsd_rounds"] > 0, counters

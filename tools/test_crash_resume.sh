@@ -48,8 +48,9 @@ for THREADS in 1 2 7; do
     "$ITSCS" clean "${COMMON[@]}" --threads "$THREADS" \
         --checkpoint-dir "$CK" --resume --strict \
         --out "$WORKDIR/resumed.csv" --flags "$WORKDIR/resumed_flags.csv" \
-        --report "$WORKDIR/resumed_report.json" > "$WORKDIR/resume.out"
-    grep -q "3 shard(s) restored" "$WORKDIR/resume.out"
+        --report "$WORKDIR/resumed_report.json" > /dev/null \
+        2> "$WORKDIR/resume.err"
+    grep -q "3 shard(s) restored" "$WORKDIR/resume.err"
     cmp "$WORKDIR/ref.csv" "$WORKDIR/resumed.csv"
     cmp "$WORKDIR/ref_flags.csv" "$WORKDIR/resumed_flags.csv"
     grep -q '"shards_loaded": 3' "$WORKDIR/resumed_report.json"
@@ -80,8 +81,8 @@ flip_payload_byte "$CK/journal.bin"
 # Non-strict resume: recovers, reports the corruption, output identical.
 "$ITSCS" clean "${COMMON[@]}" --threads 2 --checkpoint-dir "$CK" --resume \
     --out "$WORKDIR/flip.csv" --report "$WORKDIR/flip_report.json" \
-    > "$WORKDIR/flip.out"
-grep -Eq "[1-9][0-9]* corrupt frame" "$WORKDIR/flip.out"
+    > /dev/null 2> "$WORKDIR/flip.err"
+grep -Eq "[1-9][0-9]* corrupt frame" "$WORKDIR/flip.err"
 grep -q 'checkpoint_corrupt' "$WORKDIR/flip_report.json"
 cmp "$WORKDIR/ref.csv" "$WORKDIR/flip.csv"
 

@@ -8,8 +8,11 @@
 #                            runtime_test + runtime_chaos_test +
 #                            core_streaming_test under TSan
 #   tools/verify.sh asan     memory job: same runtime-facing tests plus
-#                            core_itscs_test with -fsanitize=address
-#                            (the `asan` CMake preset)
+#                            core_itscs_test and the CS solve and kernel
+#                            tests (cs_asd_test, cs_objective_test,
+#                            cs_solver_backend_test, linalg_kernels_test)
+#                            with -fsanitize=address (the `asan` CMake
+#                            preset)
 #   tools/verify.sh perf     perf smoke: Release-build bench/perf_kernels,
 #                            run it in --quick mode against the committed
 #                            BENCH_kernels.json baseline, and fail when
@@ -80,8 +83,9 @@ asan() {
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)" \
         --target runtime_test runtime_chaos_test core_streaming_test \
-        core_itscs_test
-    echo "== asan: runtime + chaos + streaming + itscs tests =="
+        core_itscs_test cs_asd_test cs_objective_test \
+        cs_solver_backend_test linalg_kernels_test
+    echo "== asan: runtime + chaos + streaming + itscs + CS solve + kernel tests =="
     ctest --preset asan
 }
 
