@@ -1125,16 +1125,17 @@ mcs::Json backend_sweep_report(std::size_t repeat, bool quick,
             config.threads = 4;
             config.shard_size = shard_size;
             config.remainder = mcs::ShardRemainder::kTail;
-            config.solver = solver;
+            mcs::ItscsConfig framework;
+            framework.cs.solver = solver;
             mcs::FleetRunner runner(config);
-            runner.run(input, mcs::ItscsConfig{});  // warm-up
+            runner.run(input, framework);  // warm-up
             mcs::PipelineContext ctx;
             mcs::FleetResult fleet;
             std::vector<double> samples;
             samples.reserve(repeat);
             for (std::size_t rep = 0; rep < repeat; ++rep) {
                 const mcs::Stopwatch timer;
-                fleet = runner.run(input, mcs::ItscsConfig{},
+                fleet = runner.run(input, framework,
                                    rep == 0 ? &ctx : nullptr);
                 samples.push_back(timer.elapsed_seconds() * 1000.0);
             }
@@ -1334,15 +1335,16 @@ mcs::Json adversary_sweep_report(std::size_t repeat, bool quick,
             config.threads = 4;
             config.shard_size = shard_size;
             config.remainder = mcs::ShardRemainder::kTail;
-            config.solver = solver;
+            mcs::ItscsConfig framework;
+            framework.cs.solver = solver;
             mcs::FleetRunner runner(config);
-            runner.run(input, mcs::ItscsConfig{});  // warm-up
+            runner.run(input, framework);  // warm-up
             mcs::FleetResult fleet;
             std::vector<double> samples;
             samples.reserve(repeat);
             for (std::size_t rep = 0; rep < repeat; ++rep) {
                 const mcs::Stopwatch timer;
-                fleet = runner.run(input, mcs::ItscsConfig{});
+                fleet = runner.run(input, framework);
                 samples.push_back(timer.elapsed_seconds() * 1000.0);
             }
             const double wall_ms = median(std::move(samples));
@@ -1600,7 +1602,6 @@ mcs::Json defense_sweep_report(std::size_t repeat, bool quick,
             config.threads = 4;
             config.shard_size = shard_size;
             config.remainder = mcs::ShardRemainder::kTail;
-            config.solver = mcs::SolverKind::kAsd;
             if (defended) {
                 config.defense = &armed;
             }
@@ -1736,7 +1737,6 @@ mcs::Json defense_sweep_report(std::size_t repeat, bool quick,
         config.threads = threads;
         config.shard_size = shard_size;
         config.remainder = mcs::ShardRemainder::kTail;
-        config.solver = mcs::SolverKind::kAsd;
         config.defense = defense;
         mcs::FleetRunner runner(config);
         return runner.run(clean_input, mcs::ItscsConfig{});

@@ -225,10 +225,8 @@ void apply_outage_labels(Matrix& detection, const Matrix& existence,
 // Everything between "staged shard input ready" and "shard result ready":
 // the unguarded single solve, or the guarded degradation ladder of
 // DESIGN.md §11 (nominal → conservative → interpolation → detect-only).
-// Shared verbatim by the in-core (run_sharded) and out-of-core
-// (run_streamed) paths so the two are bit-identical by construction. `si`
-// is the shard's staged input — mutated by chaos and sanitisation — and
-// `sctx` its private context.
+// `si` is the shard's staged input — mutated by chaos and sanitisation —
+// and `sctx` its private context.
 void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
                       std::size_t s, ItscsInput& si, PipelineContext& sctx,
                       const ItscsWarmStart* warm_seed,
@@ -449,6 +447,496 @@ void verify_mixed_shard(const RuntimeConfig& rcfg, const ItscsConfig& config,
     }
 }
 
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+// Where a shard's rows come from and where its results go: the one thing
+// an in-core run and a streamed run do differently. run_shards owns
+// everything else, so the two stay bit-identical by construction.
+class ShardIo {
+public:
+    virtual ~ShardIo() = default;
+
+    virtual const std::vector<Shard>& shards() const = 0;
+    virtual std::size_t slots() const = 0;
+
+    // The manifest's shape, input and plan fields.
+    virtual void describe(CheckpointManifest& manifest) const = 0;
+
+    // Check a journaled record's result payload against this source and,
+    // when it holds, take the shard's rows from it. False makes the record
+    // count as a corrupt frame.
+    virtual bool restore(std::size_t s, const ShardCheckpoint& record) = 0;
+
+    // Fill the arena buffers of `si` with shard s's input and return the
+    // factors that seed its nominal attempt (null = cold start). `next` is
+    // the shard this worker runs after s, or kNone.
+    virtual const ItscsWarmStart* stage(std::size_t s, std::size_t next,
+                                        ItscsInput& si) = 0;
+
+    virtual void write(std::size_t s, const ShardRunReport& report,
+                       ItscsResult& result, PipelineContext& sctx) = 0;
+
+    // The result payload of shard s's journal record.
+    virtual void journal(std::size_t s, const ItscsResult& result,
+                         ShardCheckpoint& record) const = 0;
+
+    // Shard s is committed and its staging buffers are back in the arena.
+    virtual void evict(std::size_t s) = 0;
+};
+
+// In-core source/sink: slices shard rows out of the fleet matrices and
+// scatters results into the fleet-sized aggregate, which only this class
+// allocates. Journal records carry the shard's result matrices, and the
+// per-shard warm factors (DESIGN.md §15) are read and refreshed here.
+class InCoreShards final : public ShardIo {
+public:
+    InCoreShards(const ItscsInput& input, const ShardPlan& plan,
+                 WarmStartState* warm, ItscsResult& aggregate)
+        : input_(input), plan_(plan), warm_(warm), aggregate_(aggregate) {
+        const std::size_t n = input.sx.rows();
+        const std::size_t t = input.sx.cols();
+        aggregate.detection = Matrix(n, t);
+        aggregate.reconstructed_x = Matrix(n, t);
+        aggregate.reconstructed_y = Matrix(n, t);
+    }
+
+    const std::vector<Shard>& shards() const override {
+        return plan_.shards();
+    }
+    std::size_t slots() const override { return input_.sx.cols(); }
+
+    void describe(CheckpointManifest& manifest) const override {
+        manifest.participants = input_.sx.rows();
+        manifest.slots = slots();
+        manifest.input_fingerprint = input_.fingerprint();
+        manifest.planner = to_string(plan_.mode());
+        manifest.plan_fingerprint = plan_.fingerprint();
+    }
+
+    bool restore(std::size_t s, const ShardCheckpoint& record) override {
+        const std::size_t rows = shards()[s].size();
+        const auto fits = [&](const Matrix& m) {
+            return m.rows() == rows && m.cols() == slots();
+        };
+        if (record.outputs_in_slab || !fits(record.detection) ||
+            !fits(record.reconstructed_x) || !fits(record.reconstructed_y)) {
+            return false;
+        }
+        scatter(s, record.detection, record.reconstructed_x,
+                record.reconstructed_y);
+        return true;
+    }
+
+    const ItscsWarmStart* stage(std::size_t s, std::size_t /*next*/,
+                                ItscsInput& si) override {
+        const Shard& shard = shards()[s];
+        slice_rows(si.sx, input_.sx, shard);
+        slice_rows(si.sy, input_.sy, shard);
+        slice_rows(si.vx, input_.vx, shard);
+        slice_rows(si.vy, input_.vy, shard);
+        slice_rows(si.existence, input_.existence, shard);
+        si.tau_s = input_.tau_s;
+        // Per-shard warm factors: entries are disjoint elements of a
+        // pre-sized vector, so workers touch disjoint memory.
+        if (warm_ == nullptr || warm_->shards[s].empty()) {
+            return nullptr;
+        }
+        return &warm_->shards[s];
+    }
+
+    void write(std::size_t s, const ShardRunReport& report,
+               ItscsResult& result, PipelineContext& /*sctx*/) override {
+        if (warm_ != nullptr) {
+            ItscsWarmStart& warm = warm_->shards[s];
+            if (report.level == DegradationLevel::kNominal) {
+                warm.x = std::move(result.factors_x);
+                warm.y = std::move(result.factors_y);
+            } else {
+                // A degraded window produced no trustworthy factors; the
+                // next window cold-starts this shard.
+                warm = ItscsWarmStart{};
+            }
+        }
+        scatter(s, result.detection, result.reconstructed_x,
+                result.reconstructed_y);
+    }
+
+    void journal(std::size_t /*s*/, const ItscsResult& result,
+                 ShardCheckpoint& record) const override {
+        record.detection = result.detection;
+        record.reconstructed_x = result.reconstructed_x;
+        record.reconstructed_y = result.reconstructed_y;
+    }
+
+    void evict(std::size_t /*s*/) override {}
+
+private:
+    // Shards are disjoint row sets, so concurrent scatters from different
+    // workers touch disjoint memory.
+    void scatter(std::size_t s, const Matrix& detection, const Matrix& x,
+                 const Matrix& y) {
+        const Shard& shard = shards()[s];
+        scatter_rows(aggregate_.detection, detection, shard);
+        scatter_rows(aggregate_.reconstructed_x, x, shard);
+        scatter_rows(aggregate_.reconstructed_y, y, shard);
+    }
+
+    const ItscsInput& input_;
+    const ShardPlan& plan_;
+    WarmStartState* warm_;
+    ItscsResult& aggregate_;
+};
+
+// Slab source/sink (DESIGN.md §18): shard inputs are read from the store's
+// mmap and results written to its output slabs, so no fleet-sized matrix
+// is ever allocated. Journal records carry the output slab's CRC, and a
+// committed shard's pages leave the resident window.
+class SlabShards final : public ShardIo {
+public:
+    explicit SlabShards(SlabStore& store) : store_(store) {
+        // The store's plan is authoritative — the runner's planner knobs
+        // shaped it at ingest time.
+        const std::vector<SlabShardInfo>& infos = store.shards();
+        shards_.resize(infos.size());
+        for (std::size_t s = 0; s < infos.size(); ++s) {
+            shards_[s].index = s;
+            shards_[s].begin = infos[s].begin;
+            shards_[s].end = infos[s].end;
+            shards_[s].rows = infos[s].rows;
+        }
+    }
+
+    const std::vector<Shard>& shards() const override { return shards_; }
+    std::size_t slots() const override { return store_.geometry().slots; }
+
+    void describe(CheckpointManifest& manifest) const override {
+        const SlabGeometry& geometry = store_.geometry();
+        manifest.participants = geometry.participants;
+        manifest.slots = geometry.slots;
+        manifest.input_fingerprint = geometry.input_fingerprint;
+        manifest.planner =
+            to_string(static_cast<PlannerMode>(geometry.planner_mode));
+        manifest.plan_fingerprint = geometry.plan_fingerprint;
+        manifest.storage = to_string(geometry.tier);
+        manifest.slab_max_rows = geometry.max_shard_rows;
+    }
+
+    // The record holds metadata plus the output slab's CRC, so the slab
+    // itself must still hold the committed bytes. A torn or lost slab
+    // (open() zero-extends) fails the CRC and the shard re-runs: the
+    // corrupt-frame discipline, one layer down.
+    bool restore(std::size_t s, const ShardCheckpoint& record) override {
+        return record.outputs_in_slab &&
+               record.output_slab_crc == store_.output_crc(s);
+    }
+
+    const ItscsWarmStart* stage(std::size_t s, std::size_t next,
+                                ItscsInput& si) override {
+        // Overlap the next scheduled shard's page-in with this shard's
+        // compute; madvise does the rest.
+        if (next != kNone) {
+            store_.prefetch_inputs(next);
+        }
+        double* mats[kSlabInputMatrices] = {
+            si.sx.data().data(), si.sy.data().data(), si.vx.data().data(),
+            si.vy.data().data(), si.existence.data().data()};
+        store_.read_inputs(s, mats);
+        si.tau_s = store_.geometry().tau_s;
+        return nullptr;
+    }
+
+    void write(std::size_t s, const ShardRunReport& /*report*/,
+               ItscsResult& result, PipelineContext& sctx) override {
+        const double* mats[kSlabOutputMatrices] = {
+            result.detection.data().data(),
+            result.reconstructed_x.data().data(),
+            result.reconstructed_y.data().data()};
+        store_.write_outputs(s, mats);
+        sctx.counters().slab_shards_streamed += 1;
+    }
+
+    void journal(std::size_t s, const ItscsResult& /*result*/,
+                 ShardCheckpoint& record) const override {
+        record.outputs_in_slab = true;
+        record.output_slab_crc = store_.output_crc(s);
+    }
+
+    void evict(std::size_t s) override { store_.evict(s); }
+
+private:
+    SlabStore& store_;
+    std::vector<Shard> shards_;
+};
+
+// The shard loop behind run() and run_streamed(): per-shard seeds and
+// contexts, the checkpoint handshake and journal restore, the ladder and
+// the mixed-tier gate, the commit and its crash seam, the work-stealing
+// dispatch, and the merge in shard order. `journaled` gates the durable
+// journal: only the *final* solve of a defended run checkpoints (the
+// intermediate honest solve is recomputed on resume — it is deterministic,
+// and journaling it would double the store for no recovery value).
+void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
+                std::size_t threads, std::vector<Workspace>& workspaces,
+                ShardIo& io, const ItscsConfig& config, bool journaled,
+                PipelineContext* ctx, FleetResult& out) {
+    const std::vector<Shard>& shards = io.shards();
+    const std::size_t count = shards.size();
+    const std::size_t t = io.slots();
+
+    // Per-shard seeds drawn by index on this thread: the decomposition's
+    // seeds never depend on which worker runs which shard, nor on where
+    // the shard's rows are stored.
+    Rng root(rcfg.seed);
+    std::vector<std::uint64_t> seeds(count);
+    for (std::size_t s = 0; s < count; ++s) {
+        seeds[s] = root.next_u64();
+    }
+    std::vector<PipelineContext> contexts;
+    contexts.reserve(count);
+    for (std::size_t s = 0; s < count; ++s) {
+        contexts.emplace_back(seeds[s]);
+        // Stamp the configured tier and backend up front so even shards
+        // that never run (restored from a checkpoint) report what the run
+        // used.
+        contexts.back().set_kernel_tier(rcfg.kernel_tier);
+        contexts.back().set_solver_backend(config.cs.solver);
+    }
+
+    out.shards.resize(count);
+    std::vector<std::vector<ItscsIterationStats>> histories(count);
+
+    // ---- durable checkpoint: open the store, restore what survived ----
+    CheckpointSummary& cp = out.checkpoint;
+    std::unique_ptr<CheckpointStore> store;
+    std::vector<bool> restored(count, false);
+    if (journaled && !rcfg.checkpoint_dir.empty()) {
+        cp.enabled = true;
+        store = std::make_unique<CheckpointStore>(rcfg.checkpoint_dir);
+
+        CheckpointManifest manifest;
+        io.describe(manifest);
+        manifest.config_fingerprint = config_fingerprint(config);
+        manifest.runtime_fingerprint = runtime_fingerprint(rcfg);
+        manifest.kernel_tier = rcfg.kernel_tier;
+        manifest.solver = config.cs.solver;
+        for (const Shard& shard : shards) {
+            manifest.shards.emplace_back(shard.begin, shard.end);
+            manifest.shard_members.push_back(shard.members_fingerprint());
+        }
+
+        if (rcfg.resume && store->has_manifest()) {
+            // Handshake: a fingerprint or plan mismatch means the journal
+            // belongs to a different run — resuming it would fabricate
+            // results, so refuse loudly instead of quietly starting over.
+            const std::string why = manifest.mismatch(store->read_manifest());
+            MCS_CHECK_MSG(why.empty(),
+                          "checkpoint resume refused (" + why +
+                              "); delete " + rcfg.checkpoint_dir +
+                              " or drop --resume to start over");
+
+            CheckpointLoad load = store->load();
+            cp.corrupt_frames = load.corrupt_frames;
+            cp.torn_tail = load.torn_tail;
+            cp.journal_failures = std::move(load.failures);
+
+            for (auto& [index, record] : load.shards) {
+                // The frame had a valid CRC and decoded, but its contents
+                // must still agree with the recomputed plan and seeds, and
+                // its payload with the source — anything else is treated
+                // exactly like a corrupt frame: dropped, reported, and the
+                // shard re-run.
+                const bool consistent =
+                    index < count &&
+                    record.row_begin == shards[index].begin &&
+                    record.row_end == shards[index].end &&
+                    record.members_fingerprint ==
+                        shards[index].members_fingerprint() &&
+                    record.seed == seeds[index] && io.restore(index, record);
+                if (!consistent) {
+                    ++cp.corrupt_frames;
+                    FailureReport bad;
+                    bad.kind = FailureKind::kCheckpointCorrupt;
+                    bad.phase = "journal";
+                    bad.shard = index;
+                    bad.detail =
+                        "journaled record contradicts the recomputed plan/"
+                        "seed or its result payload failed verification; "
+                        "shard will re-run";
+                    cp.journal_failures.push_back(std::move(bad));
+                    continue;
+                }
+
+                ShardRunReport& report = out.shards[index];
+                report.shard = shards[index];
+                report.seed = record.seed;
+                report.iterations = record.iterations;
+                report.converged = record.converged;
+                report.level = static_cast<DegradationLevel>(record.level);
+                report.attempts = record.attempts;
+                report.failures = std::move(record.failures);
+                histories[index] = std::move(record.history);
+
+                // Fold the original process's instrumentation into the
+                // shard's (otherwise untouched) context so the merged
+                // report still covers the work that was actually done.
+                contexts[index].absorb(record.counters, record.phases);
+                contexts[index].counters().checkpoint_shards_resumed += 1;
+
+                restored[index] = true;
+                ++cp.shards_loaded;
+            }
+        } else {
+            store->begin(manifest);
+        }
+    }
+
+    std::vector<std::size_t> pending;
+    pending.reserve(count);
+    for (std::size_t s = 0; s < count; ++s) {
+        if (!restored[s]) {
+            pending.push_back(s);
+        }
+    }
+    if (cp.enabled) {
+        cp.shards_run = pending.size();
+    }
+
+    // Opt-in row-blocked kernel parallelism for the duration of the run;
+    // dormant underneath shard workers (they run kernels inline).
+    KernelParallelScope kernel_scope(rcfg.kernel_threads);
+    RowBlockThresholdScope threshold_scope(rcfg.kernel_row_block_threshold);
+
+    auto run_shard = [&](std::size_t s, std::size_t next) {
+        // The tier is thread-local ambient state, so each worker installs
+        // it per shard — kernels read it once at entry on this thread
+        // before fanning rows out to any RowExecutor.
+        KernelTierScope tier_scope(rcfg.kernel_tier);
+        const Shard& shard = shards[s];
+        const std::size_t rows = shard.size();
+        const std::size_t worker = ThreadPool::worker_index();
+        Workspace& ws = workspaces[worker == kNone ? 0 : worker];
+
+        // Stage the shard's input in the worker's arena: a worker running
+        // several same-shaped shards allocates the staging buffers once.
+        ItscsInput si;
+        si.sx = ws.acquire(rows, t);
+        si.sy = ws.acquire(rows, t);
+        si.vx = ws.acquire(rows, t);
+        si.vy = ws.acquire(rows, t);
+        si.existence = ws.acquire(rows, t);
+        const ItscsWarmStart* warm_seed = io.stage(s, next, si);
+
+        ShardRunReport& report = out.shards[s];
+        report.shard = shard;
+        report.seed = seeds[s];
+
+        ItscsResult result;
+        run_shard_ladder(rcfg, config, s, si, contexts[s], warm_seed, report,
+                         result);
+        verify_mixed_shard(rcfg, config, s, seeds[s], si, warm_seed,
+                           contexts[s], report, result);
+        io.write(s, report, result, contexts[s]);
+
+        if (store != nullptr) {
+            // Count the commit first so the journaled counter snapshot
+            // includes it — a resumed run then reports the commit the
+            // original process made.
+            contexts[s].counters().checkpoint_commits += 1;
+
+            ShardCheckpoint record;
+            record.shard_index = s;
+            record.row_begin = shard.begin;
+            record.row_end = shard.end;
+            record.members_fingerprint = shard.members_fingerprint();
+            record.seed = seeds[s];
+            record.iterations = report.iterations;
+            record.converged = report.converged;
+            record.level = static_cast<std::uint32_t>(report.level);
+            record.attempts = report.attempts;
+            record.failures = report.failures;
+            io.journal(s, result, record);
+            record.history = result.history;
+            record.counters = contexts[s].counters();
+            record.phases = contexts[s].phase_stats();
+
+            const std::size_t crash_after =
+                rcfg.chaos != nullptr
+                    ? rcfg.chaos->config().crash_after_commits
+                    : 0;
+            store->commit(record, [crash_after](std::size_t ordinal) {
+                // Chaos crash seam: die *after* the k-th frame is flushed,
+                // while still holding the journal lock — the journal holds
+                // exactly k complete frames, at any thread count.
+                if (crash_after > 0 && ordinal == crash_after) {
+                    std::abort();
+                }
+            });
+        }
+
+        histories[s] = std::move(result.history);
+
+        ws.release(std::move(si.sx));
+        ws.release(std::move(si.sy));
+        ws.release(std::move(si.vx));
+        ws.release(std::move(si.vy));
+        ws.release(std::move(si.existence));
+        io.evict(s);
+    };
+
+    // Work-stealing schedule (runtime/work_steal.hpp), inline without a
+    // pool: scheduling decides where a shard runs, never what it computes
+    // — the merge below stays in shard order, so output is bit-identical
+    // at any thread count.
+    out.steals = steal_run(pool, threads, pending.size(),
+                           [&](std::size_t k, std::size_t next) {
+                               run_shard(pending[k], next == kNone
+                                                         ? kNone
+                                                         : pending[next]);
+                           });
+
+    // ---- joining barrier passed: single-threaded from here on ----
+
+    // Merge instrumentation in shard order (deterministic report), then
+    // release every arena's high-water scratch so long-lived workers do
+    // not pin the peak of this run.
+    if (ctx != nullptr) {
+        for (const PipelineContext& shard_ctx : contexts) {
+            ctx->merge(shard_ctx);
+        }
+        // Frame losses and steal totals belong to the run, not to any one
+        // shard's context.
+        ctx->counters().checkpoint_corrupt_frames += cp.corrupt_frames;
+        ctx->counters().shards_stolen += out.steals.stolen_items;
+    }
+    for (Workspace& ws : workspaces) {
+        ws.clear();
+    }
+
+    // Aggregate diagnostics: iterations is the slowest shard, converged
+    // the conjunction, history the per-iteration sum over shards (shards
+    // already converged contribute nothing to later iterations).
+    out.aggregate.converged = true;
+    for (const ShardRunReport& report : out.shards) {
+        out.aggregate.iterations =
+            std::max(out.aggregate.iterations, report.iterations);
+        out.aggregate.converged =
+            out.aggregate.converged && report.converged;
+    }
+    out.aggregate.history.resize(out.aggregate.iterations);
+    for (std::size_t k = 0; k < out.aggregate.iterations; ++k) {
+        ItscsIterationStats& merged = out.aggregate.history[k];
+        merged.iteration = k + 1;
+        for (const auto& history : histories) {
+            if (k < history.size()) {
+                merged.flagged += history[k].flagged;
+                merged.detection_changes += history[k].detection_changes;
+                merged.cs_objective_x += history[k].cs_objective_x;
+                merged.cs_objective_y += history[k].cs_objective_y;
+            }
+        }
+    }
+}
+
 }  // namespace
 
 FleetRunner::FleetRunner(RuntimeConfig config)
@@ -623,20 +1111,10 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
 }
 
 FleetResult FleetRunner::run_sharded(const ItscsInput& input,
-                                     const ItscsConfig& base_config,
+                                     const ItscsConfig& config,
                                      WarmStartState* warm,
                                      PipelineContext* ctx,
                                      bool allow_checkpoint) {
-    // Resolve the effective solver backend: the RuntimeConfig knob applies
-    // when the core config keeps the default, so the backend can be chosen
-    // on either side (CLI --solver sets the runtime knob; programmatic
-    // callers may set cs.solver directly). Everything below — shards,
-    // ladder, manifest fingerprints — sees the effective config only.
-    ItscsConfig config = base_config;
-    if (config_.solver != SolverKind::kAsd &&
-        config.cs.solver == SolverKind::kAsd) {
-        config.cs.solver = config_.solver;
-    }
     // Guarded runs defer the finite-value scan to each shard's ladder so a
     // poisoned cell faults one shard, not the fleet; unguarded runs keep
     // the strict throw-at-the-boundary contract.
@@ -645,10 +1123,7 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
     } else {
         input.validate();
     }
-    const std::size_t n = input.sx.rows();
-    const std::size_t t = input.sx.cols();
     const ShardPlan plan = plan_for(input);
-    const std::size_t count = plan.count();
 
     if (warm != nullptr) {
         // Journaled shard records carry no factors, so a resumed run could
@@ -657,324 +1132,17 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
         MCS_CHECK_MSG(config_.checkpoint_dir.empty(),
                       "FleetRunner: warm-start state cannot be combined "
                       "with checkpoint_dir");
-        if (warm->shards.size() != count) {
+        if (warm->shards.size() != plan.count()) {
             // First window (or the shard plan changed): cold-start every
             // shard and start recording factors at the new decomposition.
-            warm->shards.assign(count, ItscsWarmStart{});
+            warm->shards.assign(plan.count(), ItscsWarmStart{});
         }
-    }
-
-    // Per-shard seeds drawn by index on this thread — the decomposition's
-    // seeds never depend on which worker runs which shard.
-    Rng root(config_.seed);
-    std::vector<std::uint64_t> seeds(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        seeds[s] = root.next_u64();
-    }
-    std::vector<PipelineContext> contexts;
-    contexts.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        contexts.emplace_back(seeds[s]);
-        // Stamp the configured tier and backend up front so even shards
-        // that never run (restored from a checkpoint) report what the run
-        // used.
-        contexts.back().set_kernel_tier(config_.kernel_tier);
-        contexts.back().set_solver_backend(config.cs.solver);
     }
 
     FleetResult out;
-    out.aggregate.detection = Matrix(n, t);
-    out.aggregate.reconstructed_x = Matrix(n, t);
-    out.aggregate.reconstructed_y = Matrix(n, t);
-    out.shards.resize(count);
-    std::vector<std::vector<ItscsIterationStats>> histories(count);
-
-    // ---- durable checkpoint: open the store, restore what survived ----
-    CheckpointSummary& cp = out.checkpoint;
-    std::unique_ptr<CheckpointStore> store;
-    std::vector<bool> restored(count, false);
-    if (allow_checkpoint && !config_.checkpoint_dir.empty()) {
-        cp.enabled = true;
-        store = std::make_unique<CheckpointStore>(config_.checkpoint_dir);
-
-        CheckpointManifest manifest;
-        manifest.participants = n;
-        manifest.slots = t;
-        manifest.input_fingerprint = input.fingerprint();
-        manifest.config_fingerprint = config_fingerprint(config);
-        manifest.runtime_fingerprint = runtime_fingerprint(config_);
-        manifest.kernel_tier = config_.kernel_tier;
-        manifest.solver = config.cs.solver;
-        manifest.planner = to_string(plan.mode());
-        manifest.plan_fingerprint = plan.fingerprint();
-        for (const Shard& shard : plan.shards()) {
-            manifest.shards.emplace_back(shard.begin, shard.end);
-            manifest.shard_members.push_back(shard.members_fingerprint());
-        }
-
-        if (config_.resume && store->has_manifest()) {
-            // Handshake: a fingerprint or plan mismatch means the journal
-            // belongs to a different run — resuming it would fabricate
-            // results, so refuse loudly instead of quietly starting over.
-            const std::string why = manifest.mismatch(store->read_manifest());
-            MCS_CHECK_MSG(why.empty(),
-                          "checkpoint resume refused (" + why +
-                              "); delete " + config_.checkpoint_dir +
-                              " or drop --resume to start over");
-
-            CheckpointLoad load = store->load();
-            cp.corrupt_frames = load.corrupt_frames;
-            cp.torn_tail = load.torn_tail;
-            cp.journal_failures = std::move(load.failures);
-
-            for (auto& [index, record] : load.shards) {
-                // The frame had a valid CRC and decoded, but its contents
-                // must still agree with the recomputed plan and seeds —
-                // anything else is treated exactly like a corrupt frame:
-                // dropped, reported, and the shard re-run.
-                const Shard* shard =
-                    index < count ? &plan.shards()[index] : nullptr;
-                const std::size_t rows =
-                    shard != nullptr ? shard->size() : 0;
-                const bool consistent =
-                    shard != nullptr && record.row_begin == shard->begin &&
-                    record.row_end == shard->end &&
-                    record.members_fingerprint ==
-                        shard->members_fingerprint() &&
-                    record.seed == seeds[index] &&
-                    !record.outputs_in_slab &&
-                    record.detection.rows() == rows &&
-                    record.detection.cols() == t &&
-                    record.reconstructed_x.rows() == rows &&
-                    record.reconstructed_x.cols() == t &&
-                    record.reconstructed_y.rows() == rows &&
-                    record.reconstructed_y.cols() == t;
-                if (!consistent) {
-                    ++cp.corrupt_frames;
-                    FailureReport bad;
-                    bad.kind = FailureKind::kCheckpointCorrupt;
-                    bad.phase = "journal";
-                    bad.shard = index;
-                    bad.detail =
-                        "journaled record contradicts the recomputed "
-                        "shard plan/seed; shard will re-run";
-                    cp.journal_failures.push_back(std::move(bad));
-                    continue;
-                }
-
-                ShardRunReport& report = out.shards[index];
-                report.shard = *shard;
-                report.seed = record.seed;
-                report.iterations = record.iterations;
-                report.converged = record.converged;
-                report.level =
-                    static_cast<DegradationLevel>(record.level);
-                report.attempts = record.attempts;
-                report.failures = std::move(record.failures);
-
-                scatter_rows(out.aggregate.detection, record.detection,
-                             *shard);
-                scatter_rows(out.aggregate.reconstructed_x,
-                             record.reconstructed_x, *shard);
-                scatter_rows(out.aggregate.reconstructed_y,
-                             record.reconstructed_y, *shard);
-                histories[index] = std::move(record.history);
-
-                // Fold the original process's instrumentation into the
-                // shard's (otherwise untouched) context so the merged
-                // report still covers the work that was actually done.
-                contexts[index].absorb(record.counters, record.phases);
-                contexts[index].counters().checkpoint_shards_resumed += 1;
-
-                restored[index] = true;
-                ++cp.shards_loaded;
-            }
-        } else {
-            store->begin(manifest);
-        }
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        if (!restored[s]) {
-            pending.push_back(s);
-        }
-    }
-    if (cp.enabled) {
-        cp.shards_run = pending.size();
-    }
-
-    // Opt-in row-blocked kernel parallelism for the duration of the run;
-    // dormant underneath shard workers (they run kernels inline).
-    KernelParallelScope kernel_scope(config_.kernel_threads);
-    RowBlockThresholdScope threshold_scope(config_.kernel_row_block_threshold);
-
-    auto run_shard = [&](std::size_t s) {
-        // The tier is thread-local ambient state, so each worker installs
-        // it per shard — kernels read it once at entry on this thread
-        // before fanning rows out to any RowExecutor.
-        KernelTierScope tier_scope(config_.kernel_tier);
-        const Shard& shard = plan.shards()[s];
-        const std::size_t rows = shard.size();
-        const std::size_t worker = ThreadPool::worker_index();
-        Workspace& ws = workspaces_[worker == static_cast<std::size_t>(-1)
-                                        ? 0
-                                        : worker];
-
-        // Stage the shard's input slices in the worker's arena: a worker
-        // running several same-shaped shards allocates the staging
-        // buffers once.
-        ItscsInput si;
-        si.sx = ws.acquire(rows, t);
-        si.sy = ws.acquire(rows, t);
-        si.vx = ws.acquire(rows, t);
-        si.vy = ws.acquire(rows, t);
-        si.existence = ws.acquire(rows, t);
-        si.tau_s = input.tau_s;
-        slice_rows(si.sx, input.sx, shard);
-        slice_rows(si.sy, input.sy, shard);
-        slice_rows(si.vx, input.vx, shard);
-        slice_rows(si.vy, input.vy, shard);
-        slice_rows(si.existence, input.existence, shard);
-
-        ShardRunReport& report = out.shards[s];
-        report.shard = shard;
-        report.seed = seeds[s];
-
-        // Per-shard warm factors: entries are disjoint elements of a
-        // pre-sized vector, so workers touch disjoint memory.
-        ItscsWarmStart* shard_warm =
-            warm != nullptr ? &warm->shards[s] : nullptr;
-        const ItscsWarmStart* warm_seed =
-            shard_warm != nullptr && !shard_warm->empty() ? shard_warm
-                                                          : nullptr;
-
-        ItscsResult result;
-        run_shard_ladder(config_, config, s, si, contexts[s], warm_seed,
-                         report, result);
-        verify_mixed_shard(config_, config, s, seeds[s], si, warm_seed,
-                           contexts[s], report, result);
-
-        if (shard_warm != nullptr) {
-            if (report.level == DegradationLevel::kNominal) {
-                shard_warm->x = std::move(result.factors_x);
-                shard_warm->y = std::move(result.factors_y);
-            } else {
-                // A degraded window produced no trustworthy factors; the
-                // next window cold-starts this shard.
-                *shard_warm = ItscsWarmStart{};
-            }
-        }
-
-        scatter_rows(out.aggregate.detection, result.detection, shard);
-        scatter_rows(out.aggregate.reconstructed_x, result.reconstructed_x,
-                     shard);
-        scatter_rows(out.aggregate.reconstructed_y, result.reconstructed_y,
-                     shard);
-
-        if (store != nullptr) {
-            // Count the commit first so the journaled counter snapshot
-            // includes it — a resumed run then reports the commit the
-            // original process made.
-            contexts[s].counters().checkpoint_commits += 1;
-
-            ShardCheckpoint record;
-            record.shard_index = s;
-            record.row_begin = shard.begin;
-            record.row_end = shard.end;
-            record.members_fingerprint = shard.members_fingerprint();
-            record.seed = seeds[s];
-            record.iterations = report.iterations;
-            record.converged = report.converged;
-            record.level = static_cast<std::uint32_t>(report.level);
-            record.attempts = report.attempts;
-            record.failures = report.failures;
-            record.detection = result.detection;
-            record.reconstructed_x = result.reconstructed_x;
-            record.reconstructed_y = result.reconstructed_y;
-            record.history = result.history;
-            record.counters = contexts[s].counters();
-            record.phases = contexts[s].phase_stats();
-
-            const std::size_t crash_after =
-                config_.chaos != nullptr
-                    ? config_.chaos->config().crash_after_commits
-                    : 0;
-            store->commit(record, [crash_after](std::size_t ordinal) {
-                // Chaos crash seam: die *after* the k-th frame is flushed,
-                // while still holding the journal lock — the journal holds
-                // exactly k complete frames, at any thread count.
-                if (crash_after > 0 && ordinal == crash_after) {
-                    std::abort();
-                }
-            });
-        }
-
-        histories[s] = std::move(result.history);
-
-        ws.release(std::move(si.sx));
-        ws.release(std::move(si.sy));
-        ws.release(std::move(si.vx));
-        ws.release(std::move(si.vy));
-        ws.release(std::move(si.existence));
-    };
-
-    // Work-stealing schedule (runtime/work_steal.hpp): scheduling decides
-    // where a shard runs, never what it computes — the merge below stays
-    // in shard order, so output is bit-identical at any thread count.
-    if (pool_ != nullptr && pending.size() > 1) {
-        out.steals = steal_run(pool_.get(), threads_, pending.size(),
-                               [&](std::size_t k, std::size_t /*next*/) {
-                                   run_shard(pending[k]);
-                               });
-    } else {
-        for (const std::size_t s : pending) {
-            run_shard(s);
-        }
-    }
-
-    // ---- joining barrier passed: single-threaded from here on ----
-
-    // Merge instrumentation in shard order (deterministic report), then
-    // release every arena's high-water scratch so long-lived workers do
-    // not pin the peak of this run.
-    if (ctx != nullptr) {
-        for (const PipelineContext& shard_ctx : contexts) {
-            ctx->merge(shard_ctx);
-        }
-        // Frame losses and steal totals belong to the run, not to any one
-        // shard's context.
-        ctx->counters().checkpoint_corrupt_frames += cp.corrupt_frames;
-        ctx->counters().shards_stolen += out.steals.stolen_items;
-    }
-    for (Workspace& ws : workspaces_) {
-        ws.clear();
-    }
-
-    // Aggregate diagnostics: iterations is the slowest shard, converged
-    // the conjunction, history the per-iteration sum over shards (shards
-    // already converged contribute nothing to later iterations).
-    out.aggregate.converged = true;
-    for (const ShardRunReport& report : out.shards) {
-        out.aggregate.iterations =
-            std::max(out.aggregate.iterations, report.iterations);
-        out.aggregate.converged =
-            out.aggregate.converged && report.converged;
-    }
-    out.aggregate.history.resize(out.aggregate.iterations);
-    for (std::size_t k = 0; k < out.aggregate.iterations; ++k) {
-        ItscsIterationStats& merged = out.aggregate.history[k];
-        merged.iteration = k + 1;
-        for (const auto& history : histories) {
-            if (k < history.size()) {
-                merged.flagged += history[k].flagged;
-                merged.detection_changes += history[k].detection_changes;
-                merged.cs_objective_x += history[k].cs_objective_x;
-                merged.cs_objective_y += history[k].cs_objective_y;
-            }
-        }
-    }
+    InCoreShards io(input, plan, warm, out.aggregate);
+    run_shards(config_, pool_.get(), threads_, workspaces_, io, config,
+               allow_checkpoint, ctx, out);
     return out;
 }
 
@@ -1042,7 +1210,7 @@ std::size_t FleetRunner::resident_window_bytes(
 }
 
 FleetResult FleetRunner::run_streamed(SlabStore& store,
-                                      const ItscsConfig& base_config,
+                                      const ItscsConfig& config,
                                       PipelineContext* ctx) {
     MCS_CHECK_MSG(
         config_.adversary == nullptr || config_.adversary->spec().idle(),
@@ -1052,30 +1220,10 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
         config_.defense == nullptr || config_.defense->spec().idle(),
         "run_streamed: the defence suite's consistency tests need "
         "fleet-wide matrices — run the defence in-core");
-
-    ItscsConfig config = base_config;
-    if (config_.solver != SolverKind::kAsd &&
-        config.cs.solver == SolverKind::kAsd) {
-        config.cs.solver = config_.solver;
-    }
-
-    const SlabGeometry& geometry = store.geometry();
-    const std::size_t t = geometry.slots;
-    const std::size_t count = store.shards().size();
-    MCS_CHECK_MSG(count > 0, "run_streamed: empty slab store");
-
-    // The store's plan is authoritative — the runner's planner knobs
-    // shaped it at ingest time.
-    std::vector<Shard> shards(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        shards[s].index = s;
-        shards[s].begin = store.shards()[s].begin;
-        shards[s].end = store.shards()[s].end;
-        shards[s].rows = store.shards()[s].rows;
-    }
+    MCS_CHECK_MSG(!store.shards().empty(), "run_streamed: empty slab store");
 
     if (config_.memory_budget_mb > 0) {
-        const std::size_t window = resident_window_bytes(geometry);
+        const std::size_t window = resident_window_bytes(store.geometry());
         const std::size_t budget =
             config_.memory_budget_mb * std::size_t(1024) * 1024;
         MCS_CHECK_MSG(
@@ -1089,273 +1237,13 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
                 "lower --threads / the shard size");
     }
 
-    // Per-shard seeds by index, exactly as in run_sharded — streamed and
-    // in-core runs of the same plan share their seed derivation, which is
-    // what makes them bit-comparable.
-    Rng root(config_.seed);
-    std::vector<std::uint64_t> seeds(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        seeds[s] = root.next_u64();
-    }
-    std::vector<PipelineContext> contexts;
-    contexts.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        contexts.emplace_back(seeds[s]);
-        contexts.back().set_kernel_tier(config_.kernel_tier);
-        contexts.back().set_solver_backend(config.cs.solver);
-    }
-
-    FleetResult out;
-    // Aggregate matrices stay EMPTY: fleet-sized results live in the
+    // The aggregate matrices stay EMPTY: fleet-sized results live in the
     // store's output slabs — materialising them here would defeat the
     // bounded resident window.
-    out.shards.resize(count);
-    std::vector<std::vector<ItscsIterationStats>> histories(count);
-
-    CheckpointSummary& cp = out.checkpoint;
-    std::unique_ptr<CheckpointStore> cp_store;
-    std::vector<bool> restored(count, false);
-    if (!config_.checkpoint_dir.empty()) {
-        cp.enabled = true;
-        cp_store = std::make_unique<CheckpointStore>(config_.checkpoint_dir);
-
-        CheckpointManifest manifest;
-        manifest.participants = geometry.participants;
-        manifest.slots = t;
-        manifest.input_fingerprint = geometry.input_fingerprint;
-        manifest.config_fingerprint = config_fingerprint(config);
-        manifest.runtime_fingerprint = runtime_fingerprint(config_);
-        manifest.kernel_tier = config_.kernel_tier;
-        manifest.solver = config.cs.solver;
-        manifest.planner = to_string(
-            static_cast<PlannerMode>(geometry.planner_mode));
-        manifest.plan_fingerprint = geometry.plan_fingerprint;
-        manifest.storage = to_string(geometry.tier);
-        manifest.slab_max_rows = geometry.max_shard_rows;
-        for (const Shard& shard : shards) {
-            manifest.shards.emplace_back(shard.begin, shard.end);
-            manifest.shard_members.push_back(shard.members_fingerprint());
-        }
-
-        if (config_.resume && cp_store->has_manifest()) {
-            const std::string why =
-                manifest.mismatch(cp_store->read_manifest());
-            MCS_CHECK_MSG(why.empty(),
-                          "checkpoint resume refused (" + why +
-                              "); delete " + config_.checkpoint_dir +
-                              " or drop --resume to start over");
-
-            CheckpointLoad load = cp_store->load();
-            cp.corrupt_frames = load.corrupt_frames;
-            cp.torn_tail = load.torn_tail;
-            cp.journal_failures = std::move(load.failures);
-
-            for (auto& [index, record] : load.shards) {
-                // A streamed record is metadata plus the output slab's
-                // CRC: the slab itself must still hold the committed
-                // bytes. A torn or lost slab (open() zero-extends) fails
-                // the CRC and the shard simply re-runs — exactly the
-                // corrupt-frame discipline, one layer down.
-                const Shard* shard =
-                    index < count ? &shards[index] : nullptr;
-                const bool consistent =
-                    shard != nullptr && record.row_begin == shard->begin &&
-                    record.row_end == shard->end &&
-                    record.members_fingerprint ==
-                        shard->members_fingerprint() &&
-                    record.seed == seeds[index] &&
-                    record.outputs_in_slab &&
-                    record.output_slab_crc == store.output_crc(index);
-                if (!consistent) {
-                    ++cp.corrupt_frames;
-                    FailureReport bad;
-                    bad.kind = FailureKind::kCheckpointCorrupt;
-                    bad.phase = "journal";
-                    bad.shard = index;
-                    bad.detail =
-                        "journaled record contradicts the recomputed plan/"
-                        "seed or its output slab failed CRC; shard will "
-                        "re-run";
-                    cp.journal_failures.push_back(std::move(bad));
-                    continue;
-                }
-
-                ShardRunReport& report = out.shards[index];
-                report.shard = *shard;
-                report.seed = record.seed;
-                report.iterations = record.iterations;
-                report.converged = record.converged;
-                report.level = static_cast<DegradationLevel>(record.level);
-                report.attempts = record.attempts;
-                report.failures = std::move(record.failures);
-                histories[index] = std::move(record.history);
-                contexts[index].absorb(record.counters, record.phases);
-                contexts[index].counters().checkpoint_shards_resumed += 1;
-                restored[index] = true;
-                ++cp.shards_loaded;
-            }
-        } else {
-            cp_store->begin(manifest);
-        }
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        if (!restored[s]) {
-            pending.push_back(s);
-        }
-    }
-    if (cp.enabled) {
-        cp.shards_run = pending.size();
-    }
-
-    KernelParallelScope kernel_scope(config_.kernel_threads);
-    RowBlockThresholdScope threshold_scope(
-        config_.kernel_row_block_threshold);
-
-    auto run_shard = [&](std::size_t s, std::size_t next) {
-        KernelTierScope tier_scope(config_.kernel_tier);
-        const Shard& shard = shards[s];
-        const std::size_t rows = shard.size();
-        const std::size_t worker = ThreadPool::worker_index();
-        Workspace& ws = workspaces_[worker == static_cast<std::size_t>(-1)
-                                        ? 0
-                                        : worker];
-
-        // Overlap the next scheduled shard's page-in with this shard's
-        // compute: the steal scheduler tells us what this worker will
-        // run next (its own deque front), and madvise does the rest.
-        if (next != static_cast<std::size_t>(-1)) {
-            store.prefetch_inputs(next);
-        }
-
-        ItscsInput si;
-        si.sx = ws.acquire(rows, t);
-        si.sy = ws.acquire(rows, t);
-        si.vx = ws.acquire(rows, t);
-        si.vy = ws.acquire(rows, t);
-        si.existence = ws.acquire(rows, t);
-        si.tau_s = geometry.tau_s;
-        {
-            double* mats[kSlabInputMatrices] = {
-                si.sx.data().data(), si.sy.data().data(),
-                si.vx.data().data(), si.vy.data().data(),
-                si.existence.data().data()};
-            store.read_inputs(s, mats);
-        }
-
-        ShardRunReport& report = out.shards[s];
-        report.shard = shard;
-        report.seed = seeds[s];
-
-        ItscsResult result;
-        run_shard_ladder(config_, config, s, si, contexts[s], nullptr,
-                         report, result);
-        verify_mixed_shard(config_, config, s, seeds[s], si, nullptr,
-                           contexts[s], report, result);
-        contexts[s].counters().slab_shards_streamed += 1;
-
-        {
-            const double* mats[kSlabOutputMatrices] = {
-                result.detection.data().data(),
-                result.reconstructed_x.data().data(),
-                result.reconstructed_y.data().data()};
-            store.write_outputs(s, mats);
-        }
-
-        if (cp_store != nullptr) {
-            contexts[s].counters().checkpoint_commits += 1;
-
-            ShardCheckpoint record;
-            record.shard_index = s;
-            record.row_begin = shard.begin;
-            record.row_end = shard.end;
-            record.members_fingerprint = shard.members_fingerprint();
-            record.seed = seeds[s];
-            record.iterations = report.iterations;
-            record.converged = report.converged;
-            record.level = static_cast<std::uint32_t>(report.level);
-            record.attempts = report.attempts;
-            record.failures = report.failures;
-            record.outputs_in_slab = true;
-            record.output_slab_crc = store.output_crc(s);
-            record.history = result.history;
-            record.counters = contexts[s].counters();
-            record.phases = contexts[s].phase_stats();
-
-            const std::size_t crash_after =
-                config_.chaos != nullptr
-                    ? config_.chaos->config().crash_after_commits
-                    : 0;
-            cp_store->commit(record, [crash_after](std::size_t ordinal) {
-                if (crash_after > 0 && ordinal == crash_after) {
-                    std::abort();
-                }
-            });
-        }
-
-        histories[s] = std::move(result.history);
-
-        ws.release(std::move(si.sx));
-        ws.release(std::move(si.sy));
-        ws.release(std::move(si.vx));
-        ws.release(std::move(si.vy));
-        ws.release(std::move(si.existence));
-
-        // Committed: this shard's pages leave the resident window.
-        store.evict(s);
-    };
-
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    if (pool_ != nullptr && pending.size() > 1) {
-        out.steals =
-            steal_run(pool_.get(), threads_, pending.size(),
-                      [&](std::size_t k, std::size_t next_k) {
-                          run_shard(pending[k], next_k == kNone
-                                                    ? kNone
-                                                    : pending[next_k]);
-                      });
-    } else {
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            run_shard(pending[k],
-                      k + 1 < pending.size() ? pending[k + 1] : kNone);
-        }
-    }
-
-    // ---- joining barrier passed: single-threaded from here on ----
-
-    if (ctx != nullptr) {
-        for (const PipelineContext& shard_ctx : contexts) {
-            ctx->merge(shard_ctx);
-        }
-        ctx->counters().checkpoint_corrupt_frames += cp.corrupt_frames;
-        ctx->counters().shards_stolen += out.steals.stolen_items;
-    }
-    for (Workspace& ws : workspaces_) {
-        ws.clear();
-    }
-
-    out.aggregate.converged = true;
-    for (const ShardRunReport& report : out.shards) {
-        out.aggregate.iterations =
-            std::max(out.aggregate.iterations, report.iterations);
-        out.aggregate.converged =
-            out.aggregate.converged && report.converged;
-    }
-    out.aggregate.history.resize(out.aggregate.iterations);
-    for (std::size_t k = 0; k < out.aggregate.iterations; ++k) {
-        ItscsIterationStats& merged = out.aggregate.history[k];
-        merged.iteration = k + 1;
-        for (const auto& history : histories) {
-            if (k < history.size()) {
-                merged.flagged += history[k].flagged;
-                merged.detection_changes += history[k].detection_changes;
-                merged.cs_objective_x += history[k].cs_objective_x;
-                merged.cs_objective_y += history[k].cs_objective_y;
-            }
-        }
-    }
+    FleetResult out;
+    SlabShards io(store);
+    run_shards(config_, pool_.get(), threads_, workspaces_, io, config,
+               /*journaled=*/true, ctx, out);
     return out;
 }
 

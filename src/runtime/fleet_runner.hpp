@@ -96,17 +96,6 @@ struct RuntimeConfig {
     /// the checkpoint handshake: a --resume never mixes tiers.
     KernelTier kernel_tier = KernelTier::kExact;
 
-    /// Recovery-solver backend for every shard (CLI: --solver). Applied to
-    /// the ItscsConfig when the latter keeps the default backend, so the
-    /// knob can be set on either side. Part of the numerics and therefore
-    /// covered by the checkpoint handshake (an explicit manifest field,
-    /// like kernel_tier): a --resume never mixes backends. The health
-    /// guards, degradation ladder and chaos seams apply to any backend —
-    /// a failed LRSD shard walks the same conservative → interpolation →
-    /// detect-only rungs (the conservative rung's rank/λ₁/iteration
-    /// overrides bind to whichever backend is active).
-    SolverKind solver = SolverKind::kAsd;
-
     /// Mixed-tier verification gate (kernel_tier == kMixed only): every
     /// `mixed_verify_every`-th shard by shard index (0 = gate off) whose
     /// nominal solve succeeded is re-solved at the exact tier, from a
@@ -352,13 +341,12 @@ private:
                              const ItscsConfig& base_config,
                              WarmStartState* warm, PipelineContext* ctx);
 
-    /// The sharded execution itself; `input` is post-adversary and
-    /// post-quarantine. `allow_checkpoint` gates the durable journal: only
-    /// the *final* solve of a defended run checkpoints (the intermediate
-    /// honest solve is recomputed on resume — it is deterministic, and
-    /// journaling it would double the store for no recovery value).
+    /// The in-core run: validates and plans `input` (post-adversary and
+    /// post-quarantine), then runs the shard loop that run_streamed shares.
+    /// `allow_checkpoint` gates the durable journal: only the *final*
+    /// solve of a defended run checkpoints.
     FleetResult run_sharded(const ItscsInput& input,
-                            const ItscsConfig& base_config,
+                            const ItscsConfig& config,
                             WarmStartState* warm, PipelineContext* ctx,
                             bool allow_checkpoint);
 

@@ -194,10 +194,11 @@ TEST(ChaosFleet, LrsdBackendUnderChaosEndsFinite) {
     runtime.threads = 2;
     runtime.shard_size = 8;
     runtime.chaos = &chaos;
-    runtime.solver = SolverKind::kLrsd;
+    ItscsConfig lrsd;
+    lrsd.cs.solver = SolverKind::kLrsd;
     FleetRunner runner(runtime);
     PipelineContext ctx(1);
-    const FleetResult fleet = runner.run(input, ItscsConfig{}, &ctx);
+    const FleetResult fleet = runner.run(input, lrsd, &ctx);
 
     EXPECT_TRUE(all_finite(fleet.aggregate.detection));
     EXPECT_TRUE(all_finite(fleet.aggregate.reconstructed_x));

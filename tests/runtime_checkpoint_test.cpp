@@ -4,7 +4,8 @@
 // produces output bit-identical to an uninterrupted run — at any thread
 // count — and any damage to the journal (truncation, bit rot, a record
 // from a different run) costs a re-run of the affected shards, never
-// correctness. In-process we simulate death by *withholding* journal
+// correctness. Where a test takes a Source, it holds for in-core runs and
+// for runs streamed through a slab store alike. In-process we simulate death by *withholding* journal
 // frames (truncating the file between runs) rather than aborting; the
 // real process-abort path (`--chaos=crash=k`) is exercised end-to-end by
 // tools/test_crash_resume.sh.
@@ -24,6 +25,7 @@
 #include "eval/methods.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/frame_io.hpp"
+#include "persist/slab_store.hpp"
 #include "runtime/fleet_runner.hpp"
 #include "trace/simulator.hpp"
 
@@ -89,6 +91,49 @@ void drop_frames_after(const std::string& journal_path, std::size_t keep) {
     ASSERT_GE(scan.frames.size(), keep);
     scan.frames.resize(keep);
     rewrite_frames(journal_path, scan.frames);
+}
+
+// Where a run's shard rows live: the fleet matrices, or a slab store.
+enum class Source { kInCore, kSlab };
+
+// Run the fleet from `source`. A slab run (which needs a checkpoint
+// directory) lays its store out in the directory's "slabs" subdirectory,
+// or reopens it when resuming, and gathers the output slabs into the
+// aggregate so both sources compare alike.
+FleetResult run_from(Source source, const RuntimeConfig& config,
+                     const ItscsInput& input,
+                     PipelineContext* ctx = nullptr) {
+    FleetRunner runner(config);
+    if (source == Source::kInCore) {
+        return runner.run(input, ItscsConfig{}, ctx);
+    }
+    const std::string slabs = config.checkpoint_dir + "/slabs";
+    std::unique_ptr<SlabStore> store =
+        config.resume ? std::make_unique<SlabStore>(slabs)
+                      : runner.create_slab_store(slabs, input);
+    FleetResult fleet = runner.run_streamed(*store, ItscsConfig{}, ctx);
+    ItscsResult& out = fleet.aggregate;
+    out.detection = Matrix(kParticipants, kSlots);
+    out.reconstructed_x = Matrix(kParticipants, kSlots);
+    out.reconstructed_y = Matrix(kParticipants, kSlots);
+    for (std::size_t s = 0; s < store->shards().size(); ++s) {
+        const std::size_t rows = store->shards()[s].size();
+        const std::size_t begin = store->shards()[s].begin;
+        Matrix det(rows, kSlots);
+        Matrix rx(rows, kSlots);
+        Matrix ry(rows, kSlots);
+        double* mats[kSlabOutputMatrices] = {
+            det.data().data(), rx.data().data(), ry.data().data()};
+        store->read_outputs(s, mats);
+        for (std::size_t k = 0; k < rows; ++k) {
+            for (std::size_t j = 0; j < kSlots; ++j) {
+                out.detection(begin + k, j) = det(k, j);
+                out.reconstructed_x(begin + k, j) = rx(k, j);
+                out.reconstructed_y(begin + k, j) = ry(k, j);
+            }
+        }
+    }
+    return fleet;
 }
 
 void flip_byte(const std::string& path, std::size_t offset) {
@@ -201,41 +246,43 @@ TEST(RuntimeCheckpointTest, BitFlippedFrameIsReportedAndReRun) {
     FleetRunner plain(runtime_config(1));
     const FleetResult reference = plain.run(input, ItscsConfig{});
 
-    CheckpointDir dir;
-    {
-        FleetRunner first(runtime_config(2, dir.path()));
-        first.run(input, ItscsConfig{});
+    for (const Source source : {Source::kInCore, Source::kSlab}) {
+        SCOPED_TRACE(source == Source::kInCore ? "in-core" : "slab");
+        CheckpointDir dir;
+        run_from(source, runtime_config(2, dir.path()), input);
+        // Flip one byte in the middle of the third frame's *payload*
+        // (headers delimit frames; damaging one would tear the tail
+        // instead): exactly one frame dies, every other frame stays
+        // loadable.
+        const FrameScan before = scan_frames(dir.journal());
+        ASSERT_GE(before.frames.size(), 3u);
+        std::size_t offset = 0;
+        for (std::size_t k = 0; k < 2; ++k) {
+            offset += 16 + before.frames[k].size();
+        }
+        offset += 16 + before.frames[2].size() / 2;
+        flip_byte(dir.journal(), offset);
+
+        PipelineContext ctx;
+        const FleetResult fleet =
+            run_from(source, runtime_config(2, dir.path(), /*resume=*/true),
+                     input, &ctx);
+
+        EXPECT_EQ(fleet.checkpoint.corrupt_frames, 1u);
+        EXPECT_EQ(fleet.checkpoint.shards_run, 1u);
+        EXPECT_EQ(fleet.checkpoint.shards_loaded, fleet.shards.size() - 1);
+        ASSERT_FALSE(fleet.checkpoint.journal_failures.empty());
+        EXPECT_EQ(fleet.checkpoint.journal_failures[0].kind,
+                  FailureKind::kCheckpointCorrupt);
+        EXPECT_EQ(ctx.counters().checkpoint_corrupt_frames, 1u);
+
+        EXPECT_TRUE(bitwise_equal(fleet.aggregate.detection,
+                                  reference.aggregate.detection));
+        EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_x,
+                                  reference.aggregate.reconstructed_x));
+        EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_y,
+                                  reference.aggregate.reconstructed_y));
     }
-    // Flip one byte in the middle of the third frame's *payload* (headers
-    // delimit frames; damaging one would tear the tail instead): exactly
-    // one frame dies, every other frame stays loadable.
-    const FrameScan before = scan_frames(dir.journal());
-    ASSERT_GE(before.frames.size(), 3u);
-    std::size_t offset = 0;
-    for (std::size_t k = 0; k < 2; ++k) {
-        offset += 16 + before.frames[k].size();
-    }
-    offset += 16 + before.frames[2].size() / 2;
-    flip_byte(dir.journal(), offset);
-
-    PipelineContext ctx;
-    FleetRunner second(runtime_config(2, dir.path(), /*resume=*/true));
-    const FleetResult fleet = second.run(input, ItscsConfig{}, &ctx);
-
-    EXPECT_EQ(fleet.checkpoint.corrupt_frames, 1u);
-    EXPECT_EQ(fleet.checkpoint.shards_run, 1u);
-    EXPECT_EQ(fleet.checkpoint.shards_loaded, fleet.shards.size() - 1);
-    ASSERT_FALSE(fleet.checkpoint.journal_failures.empty());
-    EXPECT_EQ(fleet.checkpoint.journal_failures[0].kind,
-              FailureKind::kCheckpointCorrupt);
-    EXPECT_EQ(ctx.counters().checkpoint_corrupt_frames, 1u);
-
-    EXPECT_TRUE(bitwise_equal(fleet.aggregate.detection,
-                              reference.aggregate.detection));
-    EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_x,
-                              reference.aggregate.reconstructed_x));
-    EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_y,
-                              reference.aggregate.reconstructed_y));
 }
 
 TEST(RuntimeCheckpointTest, TornTailIsRecoveredFrom) {
@@ -277,15 +324,15 @@ TEST(RuntimeCheckpointTest, MismatchedInputRefusesToResume) {
 
 TEST(RuntimeCheckpointTest, MismatchedSeedRefusesToResume) {
     const ItscsInput input = fleet_input();
-    CheckpointDir dir;
-    {
-        FleetRunner first(runtime_config(2, dir.path()));
-        first.run(input, ItscsConfig{});
+    for (const Source source : {Source::kInCore, Source::kSlab}) {
+        SCOPED_TRACE(source == Source::kInCore ? "in-core" : "slab");
+        CheckpointDir dir;
+        run_from(source, runtime_config(2, dir.path()), input);
+        RuntimeConfig changed =
+            runtime_config(2, dir.path(), /*resume=*/true);
+        changed.seed = 0xBADull;
+        EXPECT_THROW(run_from(source, changed, input), Error);
     }
-    RuntimeConfig changed = runtime_config(2, dir.path(), /*resume=*/true);
-    changed.seed = 0xBADull;
-    FleetRunner second(changed);
-    EXPECT_THROW(second.run(input, ItscsConfig{}), Error);
 }
 
 TEST(RuntimeCheckpointTest, MismatchedPlanRefusesToResume) {
@@ -333,11 +380,11 @@ TEST(RuntimeCheckpointTest, MismatchedSolverBackendRefusesToResume) {
     }
     // Shards solved by different backends must never be stitched into one
     // result; the refusal names both backends, not just a hash.
-    RuntimeConfig changed = runtime_config(2, dir.path(), /*resume=*/true);
-    changed.solver = SolverKind::kLrsd;
-    FleetRunner second(changed);
+    ItscsConfig lrsd;
+    lrsd.cs.solver = SolverKind::kLrsd;
+    FleetRunner second(runtime_config(2, dir.path(), /*resume=*/true));
     try {
-        second.run(input, ItscsConfig{});
+        second.run(input, lrsd);
         FAIL() << "expected the solver mismatch to throw";
     } catch (const Error& error) {
         EXPECT_NE(std::string(error.what()).find("solver backend"),
@@ -386,26 +433,22 @@ TEST(RuntimeCheckpointTest, LrsdResumeIsBitIdentical) {
     // The checkpoint layer is backend-agnostic: an interrupted LRSD run
     // resumes to the same bits as an uninterrupted one.
     const ItscsInput input = fleet_input();
+    ItscsConfig lrsd;
+    lrsd.cs.solver = SolverKind::kLrsd;
 
-    RuntimeConfig plain_config = runtime_config(2);
-    plain_config.solver = SolverKind::kLrsd;
-    FleetRunner plain(plain_config);
-    const FleetResult reference = plain.run(input, ItscsConfig{});
+    FleetRunner plain(runtime_config(2));
+    const FleetResult reference = plain.run(input, lrsd);
 
     CheckpointDir dir;
-    RuntimeConfig ck_config = runtime_config(2, dir.path());
-    ck_config.solver = SolverKind::kLrsd;
     {
-        FleetRunner first(ck_config);
-        first.run(input, ItscsConfig{});
+        FleetRunner first(runtime_config(2, dir.path()));
+        first.run(input, lrsd);
     }
     drop_frames_after(dir.journal(), 3);
 
-    ck_config.resume = true;
-    FleetRunner resumed_runner(ck_config);
+    FleetRunner resumed_runner(runtime_config(2, dir.path(), /*resume=*/true));
     PipelineContext ctx;
-    const FleetResult resumed =
-        resumed_runner.run(input, ItscsConfig{}, &ctx);
+    const FleetResult resumed = resumed_runner.run(input, lrsd, &ctx);
     EXPECT_EQ(resumed.checkpoint.shards_loaded, 3u);
     EXPECT_EQ(resumed.checkpoint.shards_run, resumed.shards.size() - 3u);
     EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);

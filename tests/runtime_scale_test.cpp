@@ -1,6 +1,7 @@
 // The out-of-core data plane (DESIGN.md §18): slab store round trips,
-// streamed-vs-in-core bit-identity under the work-stealing scheduler,
-// crash recovery through a torn slab file, the geographic by_cell
+// streamed-vs-in-core bit-identity under the work-stealing scheduler
+// (with and without chaos), run_streamed's refusals, crash recovery
+// through a torn slab file, the geographic by_cell
 // planner's determinism and balance contract, and the float32 storage
 // tier's verification gate.
 //
@@ -20,6 +21,7 @@
 
 #include "common/check.hpp"
 #include "common/context.hpp"
+#include "corruption/chaos.hpp"
 #include "corruption/scenario.hpp"
 #include "eval/methods.hpp"
 #include "persist/slab_store.hpp"
@@ -193,36 +195,136 @@ TEST(SlabStoreTest, ReopenVerifiesGeometryAndF32HalvesTheFile) {
 
 // ---- streamed vs in-core bit-identity ------------------------------------
 
-TEST(RuntimeScaleTest, StreamedIsBitIdenticalToInCoreAt127Threads) {
-    const ItscsInput input = fleet_input();
-    const FleetResult in_core =
-        FleetRunner(runtime_config(1)).run(input, ItscsConfig{});
-
-    std::vector<std::uint32_t> reference_crcs;
-    for (const std::size_t threads : {1u, 2u, 7u}) {
-        TempDir dir("identity");
-        FleetRunner runner(runtime_config(threads));
-        auto store = runner.create_slab_store(dir.path(), input);
-        PipelineContext ctx;
-        const FleetResult fleet =
-            runner.run_streamed(*store, ItscsConfig{}, &ctx);
-
-        EXPECT_TRUE(streamed_matches_aggregate(*store, in_core.aggregate))
-            << "threads=" << threads;
-        EXPECT_EQ(fleet.shards.size(), in_core.shards.size());
-        EXPECT_EQ(ctx.counters().slab_shards_streamed, 7u);
-        // Streamed mode leaves the fleet on disk: no aggregate matrices.
-        EXPECT_EQ(fleet.aggregate.detection.rows(), 0u);
-
-        std::vector<std::uint32_t> crcs;
-        for (std::size_t s = 0; s < store->shards().size(); ++s) {
-            crcs.push_back(store->output_crc(s));
-        }
-        if (reference_crcs.empty()) {
-            reference_crcs = crcs;
-        }
-        EXPECT_EQ(crcs, reference_crcs) << "threads=" << threads;
+// Each shard's ladder outcome: its rung, its attempts and the kind of
+// every failed attempt.
+bool same_outcomes(const FleetResult& a, const FleetResult& b) {
+    if (a.shards.size() != b.shards.size()) {
+        return false;
     }
+    for (std::size_t s = 0; s < a.shards.size(); ++s) {
+        const ShardRunReport& x = a.shards[s];
+        const ShardRunReport& y = b.shards[s];
+        if (x.level != y.level || x.attempts != y.attempts ||
+            x.failures.size() != y.failures.size()) {
+            return false;
+        }
+        for (std::size_t k = 0; k < x.failures.size(); ++k) {
+            if (x.failures[k].kind != y.failures[k].kind) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+TEST(RuntimeScaleTest, StreamedIsBitIdenticalToInCoreAt127Threads) {
+    // Chaos strikes inside the shard loop both sources share, so a
+    // poisoned fleet must match as well: row for row and rung for rung.
+    const ChaosInjector chaos(ChaosConfig::parse("nan=0.5,diverge=0.5,seed=5"));
+    const ItscsInput input = fleet_input();
+    for (const ChaosInjector* injector :
+         {static_cast<const ChaosInjector*>(nullptr), &chaos}) {
+        SCOPED_TRACE(injector == nullptr ? "no chaos" : "chaos");
+        RuntimeConfig base = runtime_config(1);
+        base.chaos = injector;
+        const FleetResult in_core =
+            FleetRunner(base).run(input, ItscsConfig{});
+
+        std::vector<std::uint32_t> reference_crcs;
+        for (const std::size_t threads : {1u, 2u, 7u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            TempDir dir("identity");
+            RuntimeConfig config = base;
+            config.threads = threads;
+            FleetRunner runner(config);
+
+            const FleetResult again = runner.run(input, ItscsConfig{});
+            EXPECT_TRUE(bitwise_equal(again.aggregate.detection,
+                                      in_core.aggregate.detection));
+            EXPECT_TRUE(bitwise_equal(again.aggregate.reconstructed_x,
+                                      in_core.aggregate.reconstructed_x));
+            EXPECT_TRUE(bitwise_equal(again.aggregate.reconstructed_y,
+                                      in_core.aggregate.reconstructed_y));
+            EXPECT_TRUE(same_outcomes(again, in_core));
+
+            auto store = runner.create_slab_store(dir.path(), input);
+            PipelineContext ctx;
+            const FleetResult fleet =
+                runner.run_streamed(*store, ItscsConfig{}, &ctx);
+            EXPECT_TRUE(
+                streamed_matches_aggregate(*store, in_core.aggregate));
+            EXPECT_TRUE(same_outcomes(fleet, in_core));
+            EXPECT_EQ(ctx.counters().slab_shards_streamed, 7u);
+            // Streamed mode leaves the fleet on disk: no aggregate
+            // matrices.
+            EXPECT_EQ(fleet.aggregate.detection.rows(), 0u);
+
+            std::vector<std::uint32_t> crcs;
+            for (std::size_t s = 0; s < store->shards().size(); ++s) {
+                crcs.push_back(store->output_crc(s));
+            }
+            if (reference_crcs.empty()) {
+                reference_crcs = crcs;
+            }
+            EXPECT_EQ(crcs, reference_crcs);
+        }
+        if (injector != nullptr) {
+            // The spec must leave nominal and degraded shards side by
+            // side, or the outcome comparison above tests no ladder.
+            const auto degraded = std::count_if(
+                in_core.shards.begin(), in_core.shards.end(),
+                [](const ShardRunReport& r) {
+                    return r.level != DegradationLevel::kNominal;
+                });
+            EXPECT_GT(degraded, 0);
+            EXPECT_LT(degraded, 7);
+        }
+    }
+}
+
+TEST(RuntimeScaleTest, RunStreamedRefusesWhatItCannotHonour) {
+    // One 64x256 shard: a resident window of several MiB on one worker.
+    const TraceDataset truth = make_small_dataset(21, 64, 256);
+    CorruptionConfig corruption;
+    corruption.seed = 17;
+    const ItscsInput input = to_itscs_input(corrupt(truth, corruption));
+    RuntimeConfig base;
+    base.shard_size = 64;
+    TempDir dir("refusals");
+    FleetRunner plain(base);
+    auto store = plain.create_slab_store(dir.path(), input);
+
+    const auto refusal = [&](const RuntimeConfig& config) {
+        try {
+            FleetRunner(config).run_streamed(*store, ItscsConfig{});
+        } catch (const Error& error) {
+            return std::string(error.what());
+        }
+        return std::string("no refusal");
+    };
+
+    const std::size_t window_mib =
+        plain.resident_window_bytes(store->geometry()) / (1024 * 1024);
+    ASSERT_GE(window_mib, 2u);
+    RuntimeConfig tight = base;
+    tight.memory_budget_mb = window_mib - 1;
+    EXPECT_NE(refusal(tight).find("below the minimum resident window"),
+              std::string::npos)
+        << refusal(tight);
+
+    const AdversaryInjector adversary(
+        AdversarySpec::parse("collude=4,seed=3"));
+    RuntimeConfig attacked = base;
+    attacked.adversary = &adversary;
+    EXPECT_NE(refusal(attacked).find("structured adversary"),
+              std::string::npos)
+        << refusal(attacked);
+
+    const DefenseSuite defense{DefenseSpec{}};
+    RuntimeConfig defended = base;
+    defended.defense = &defense;
+    EXPECT_NE(refusal(defended).find("defence suite"), std::string::npos)
+        << refusal(defended);
 }
 
 // ---- kill-and-resume through the slab store ------------------------------

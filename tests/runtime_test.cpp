@@ -480,14 +480,14 @@ TEST(FleetRunner, LrsdBackendDeterministicAcrossThreadCounts) {
     // one bit pattern at any worker count, and the merged context carries
     // the backend stamp and its per-backend counters.
     const ItscsInput input = fleet_input(35, 50);
-    const ItscsConfig framework;
+    ItscsConfig framework;
+    framework.cs.solver = SolverKind::kLrsd;
 
     std::unique_ptr<FleetResult> reference;
     for (const std::size_t threads : {1u, 2u, 7u}) {
         RuntimeConfig config;
         config.threads = threads;
         config.shard_size = 10;
-        config.solver = SolverKind::kLrsd;
         FleetRunner runner(config);
         PipelineContext ctx(99);
         FleetResult fleet = runner.run(input, framework, &ctx);
@@ -509,24 +509,6 @@ TEST(FleetRunner, LrsdBackendDeterministicAcrossThreadCounts) {
                                   reference->aggregate.reconstructed_y))
             << "threads=" << threads;
     }
-}
-
-TEST(FleetRunner, RuntimeSolverYieldsToExplicitFrameworkChoice) {
-    // The runtime knob is a default, not an override: when the ItscsConfig
-    // already names a non-default backend, FleetRunner leaves it alone.
-    const ItscsInput input = fleet_input(24, 40);
-    ItscsConfig framework;
-    framework.cs.solver = SolverKind::kLrsd;
-
-    RuntimeConfig config;
-    config.threads = 2;
-    config.shard_count = 2;
-    config.solver = SolverKind::kAsd;  // the default — must not demote
-    FleetRunner runner(config);
-    PipelineContext ctx;
-    runner.run(input, framework, &ctx);
-    EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);
-    EXPECT_GT(ctx.counters().solves_lrsd, 0u);
 }
 
 TEST(FleetRunner, RunnerIsReusableAndClearsArenas) {

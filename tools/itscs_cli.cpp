@@ -18,21 +18,24 @@
 //                  [--variant full|no-v|no-vt] [--solver asd|lrsd]
 //                  [--estimate-velocity]
 //                  [--threads N] [--shard-size K] [--shard-count C]
-//                  [--kernel-threads M] [--tier exact|fast]
-//                  [--row-block-threshold K]
+//                  [--planner rows|cell] [--kernel-threads M]
+//                  [--tier exact|fast|mixed] [--row-block-threshold K]
+//                  [--slab-dir D [--storage f64|f32] [--memory-budget MB]]
 //                  [--chaos=SPEC] [--adversary=SPEC] [--defense=SPEC]
 //                  [--failure-report fr.json]
 //                  [--shard-deadline S]
-//                  [--checkpoint-dir D] [--resume] [--strict]
+//                  [--checkpoint-dir D [--resume]] [--strict]
 //                  --out cleaned.csv [--flags flags.csv]
 //                  [--report report.json] [--stats-json]
 //       Run the framework: write the reconstructed trace, the flagged
 //       cells, and a JSON run report. --stats-json additionally runs the
 //       framework instrumented (PipelineContext) and prints its counters
-//       and phase timings as JSON on stdout. --threads/--shard-size route
-//       the run through the runtime subsystem's FleetRunner (participant
-//       shards detected/corrected concurrently; the per-shard contexts
-//       are merged so --stats-json stays a single document);
+//       and phase timings as JSON on stdout. Every run goes through the
+//       runtime subsystem's FleetRunner, so the report always carries its
+//       "plan" and "runtime" blocks; without runtime flags the plan is one
+//       shard on one thread. --threads/--shard-size detect/correct
+//       participant shards concurrently (the per-shard contexts are
+//       merged so --stats-json stays a single document);
 //       --kernel-threads enables row-blocked kernel parallelism instead
 //       of (or alongside) sharding. --tier fast switches the GEMM-shaped
 //       kernels to the SIMD tier (linalg/kernel_tier.hpp) — deterministic,
@@ -55,15 +58,19 @@
 //       --failure-report writes the per-shard
 //       degradation outcomes (ladder level, attempts, structured
 //       failures) as JSON; --shard-deadline sets a per-shard wall-clock
-//       budget in seconds. Any of these forces the FleetRunner path.
+//       budget in seconds. Runs are guarded: a non-finite observed
+//       reading degrades its shard instead of failing the run.
 //
+//       --slab-dir streams the shards through an mmap slab store
+//       (DESIGN.md §18); --storage and --memory-budget need it.
 //       --checkpoint-dir journals every completed shard durably
 //       (DESIGN.md §12); with --resume, intact journaled shards are
 //       restored instead of re-run and the combined output is
 //       bit-identical to an uninterrupted run (a mismatched manifest —
-//       different input, config or seed — is refused). --strict exits 3
-//       when any shard degraded below nominal or any checkpoint frame
-//       was corrupt.
+//       different input, config or seed — is refused, and so is a slab
+//       store laid out for another input, plan or storage tier). --strict
+//       exits 3 when any shard degraded below nominal or any checkpoint
+//       frame was corrupt.
 //
 //   itscs serve    --in corrupted.csv --participants N --slots T
 //                  [--window W] [--stride K] [--variant V] [--solver B]
@@ -110,7 +117,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,20 +137,23 @@
 #include "linalg/ops.hpp"
 #include "metrics/confusion.hpp"
 #include "metrics/reconstruction_error.hpp"
+#include "persist/checkpoint.hpp"
 #include "trace/simulator.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
 
-// The kernel stack as it is configured right now: tier, resolved fast
-// path, CPU features, and the active row-block threshold. Attached to both
-// --report and --stats-json output so a perf number can always be traced
-// back to the code path that produced it.
-mcs::Json kernel_info(mcs::KernelTier tier) {
+// The kernel stack a run used: tier, resolved fast path, CPU features,
+// and the row-block threshold. Attached to both --report and --stats-json
+// output so a perf number can always be traced back to the code path that
+// produced it.
+mcs::Json kernel_info(
+    mcs::KernelTier tier,
+    std::size_t row_block_threshold = mcs::kernel_row_block_threshold()) {
     mcs::Json out = mcs::Json::object();
     out["tier"] = std::string(mcs::to_string(tier));
     out["fast_path"] = std::string(mcs::fast_kernel_path());
-    out["row_block_threshold"] = mcs::kernel_row_block_threshold();
+    out["row_block_threshold"] = row_block_threshold;
     const mcs::CpuFeatures& f = mcs::cpu_features();
     mcs::Json cpu = mcs::Json::object();
     cpu["avx2"] = f.avx2;
@@ -534,171 +543,142 @@ int cmd_clean(const Args& args) {
     }
     mcs::ItscsConfig config =
         mcs::make_config(parse_variant(args.get_or("variant", "full")));
-    const mcs::SolverKind solver =
-        mcs::parse_solver_kind(args.get_or("solver", "asd"));
-    config.cs.solver = solver;
+    config.cs.solver = mcs::parse_solver_kind(args.get_or("solver", "asd"));
     mcs::PipelineContext ctx;
     const bool want_stats = args.has("stats-json");
 
-    // Runtime knobs: any of them routes the run through FleetRunner.
-    const std::size_t threads =
-        args.has("threads") ? args.count("threads") : 1;
-    const std::size_t shard_size =
+    // Flags that only take effect beside another one: refuse them alone
+    // rather than run as if they were absent.
+    const struct {
+        const char* flag;
+        const char* needs;
+    } dependent_flags[] = {{"storage", "slab-dir"},
+                           {"memory-budget", "slab-dir"},
+                           {"resume", "checkpoint-dir"}};
+    for (const auto& dep : dependent_flags) {
+        if (args.has(dep.flag) && !args.has(dep.needs)) {
+            throw mcs::Error(std::string("--") + dep.flag + " requires --" +
+                             dep.needs);
+        }
+    }
+
+    // Every clean runs through FleetRunner; without runtime flags the plan
+    // is one shard on one thread.
+    mcs::RuntimeConfig runtime;
+    runtime.threads = args.has("threads") ? args.count("threads") : 1;
+    runtime.shard_size =
         args.has("shard-size") ? args.count("shard-size") : 0;
-    const std::size_t shard_count =
-        args.has("shard-count") ? args.count("shard-count") : 0;
-    const std::size_t kernel_threads =
+    // Without --shard-size/--shard-count, pin the decomposition to the
+    // thread count so the flags alone reproduce the numerics on any
+    // machine (and FleetRunner's machine-default warning stays quiet).
+    runtime.shard_count =
+        args.has("shard-count")
+            ? args.count("shard-count")
+            : (runtime.shard_size == 0 ? runtime.threads : 0);
+    runtime.planner = mcs::parse_planner_mode(args.get_or("planner", "rows"));
+    runtime.kernel_threads =
         args.has("kernel-threads") ? args.count("kernel-threads") : 1;
-    const mcs::KernelTier tier =
+    runtime.kernel_tier =
         mcs::parse_kernel_tier(args.get_or("tier", "exact"));
-    const std::size_t row_block_threshold =
+    runtime.storage = mcs::parse_storage_tier(args.get_or("storage", "f64"));
+    runtime.memory_budget_mb =
+        args.has("memory-budget") ? args.count("memory-budget") : 0;
+    runtime.kernel_row_block_threshold =
         args.has("row-block-threshold") ? args.count("row-block-threshold")
                                         : 0;
-    // Ambient tier + threshold for the whole command: covers the
-    // single-run path directly; FleetRunner re-installs the same values
-    // per shard from its RuntimeConfig.
-    mcs::KernelTierScope tier_scope(tier);
-    if (row_block_threshold != 0) {
-        mcs::set_kernel_row_block_threshold(row_block_threshold);
-    }
-    std::optional<mcs::ChaosConfig> chaos_config;
+    runtime.health.deadline_seconds = args.number("shard-deadline", 0.0);
+    runtime.checkpoint_dir = args.get_or("checkpoint-dir", "");
+    runtime.resume = args.has("resume");
+    std::unique_ptr<mcs::ChaosInjector> injector;
     if (args.has("chaos")) {
-        chaos_config = mcs::ChaosConfig::parse(args.get("chaos"));
+        injector = std::make_unique<mcs::ChaosInjector>(
+            mcs::ChaosConfig::parse(args.get("chaos")));
+        runtime.chaos = injector.get();
     }
-    std::optional<mcs::AdversarySpec> adversary_spec;
+    std::unique_ptr<mcs::AdversaryInjector> adversary;
     if (args.has("adversary")) {
-        adversary_spec = mcs::AdversarySpec::parse(args.get("adversary"));
+        adversary = std::make_unique<mcs::AdversaryInjector>(
+            mcs::AdversarySpec::parse(args.get("adversary")));
+        runtime.adversary = adversary.get();
     }
-    std::optional<mcs::DefenseSpec> defense_spec;
+    std::unique_ptr<mcs::DefenseSuite> defense;
     if (args.has("defense")) {
-        defense_spec = mcs::DefenseSpec::parse(args.get_or("defense", ""));
+        defense = std::make_unique<mcs::DefenseSuite>(
+            mcs::DefenseSpec::parse(args.get_or("defense", "")));
+        runtime.defense = defense.get();
     }
-    const double shard_deadline = args.number("shard-deadline", 0.0);
-    const mcs::PlannerMode planner =
-        mcs::parse_planner_mode(args.get_or("planner", "rows"));
-    const mcs::StorageTier storage =
-        mcs::parse_storage_tier(args.get_or("storage", "f64"));
-    const std::string slab_dir = args.get_or("slab-dir", "");
-    const std::size_t memory_budget =
-        args.has("memory-budget") ? args.count("memory-budget") : 0;
-    const bool use_runner = threads > 1 || shard_size > 0 ||
-                            shard_count > 0 || kernel_threads > 1 ||
-                            chaos_config.has_value() ||
-                            adversary_spec.has_value() ||
-                            defense_spec.has_value() ||
-                            shard_deadline > 0.0 ||
-                            args.has("failure-report") ||
-                            args.has("checkpoint-dir") ||
-                            args.has("strict") ||
-                            planner != mcs::PlannerMode::kRows ||
-                            !slab_dir.empty() ||
-                            storage != mcs::StorageTier::kF64 ||
-                            memory_budget > 0;
+    mcs::FleetRunner runner(runtime);
 
-    mcs::ItscsResult result;
-    std::vector<mcs::ShardRunReport> shard_reports;
-    mcs::CheckpointSummary checkpoint;
-    mcs::AdversaryInjection adversary_result;
-    mcs::DefenseReport defense_result;
-    std::size_t resolved_shard_count = 1;
-    std::size_t plan_cells = 0;
-    std::size_t plan_window_bytes = 0;
-    mcs::StealStats steal_stats;
-    if (use_runner) {
-        mcs::RuntimeConfig runtime;
-        runtime.threads = threads;
-        runtime.shard_size = shard_size;
-        // Without --shard-size/--shard-count, pin the decomposition to the
-        // thread count so the flags alone reproduce the numerics on any
-        // machine (and FleetRunner's machine-default warning stays quiet).
-        runtime.shard_count =
-            shard_count > 0 ? shard_count
-                            : (shard_size == 0 ? threads : 0);
-        runtime.planner = planner;
-        runtime.kernel_threads = kernel_threads;
-        runtime.kernel_tier = tier;
-        runtime.solver = solver;
-        runtime.storage = storage;
-        runtime.memory_budget_mb = memory_budget;
-        runtime.kernel_row_block_threshold = row_block_threshold;
-        runtime.health.deadline_seconds = shard_deadline;
-        runtime.checkpoint_dir = args.get_or("checkpoint-dir", "");
-        runtime.resume = args.has("resume");
-        std::unique_ptr<mcs::ChaosInjector> injector;
-        if (chaos_config.has_value()) {
-            injector = std::make_unique<mcs::ChaosInjector>(*chaos_config);
-            runtime.chaos = injector.get();
+    const std::string slab_dir = args.get_or("slab-dir", "");
+    mcs::FleetResult fleet;
+    std::size_t window_bytes = 0;
+    if (!slab_dir.empty()) {
+        // --resume re-opens the store the interrupted run laid out (so
+        // torn slabs re-run), but only a store laid out for this input,
+        // plan and storage tier: another store's outputs would pass their
+        // journaled CRCs and be restored as this run's.
+        std::unique_ptr<mcs::SlabStore> store;
+        if (runtime.resume &&
+            std::filesystem::exists(slab_dir + "/slabs.meta")) {
+            store = std::make_unique<mcs::SlabStore>(slab_dir);
+            const mcs::SlabGeometry& geometry = store->geometry();
+            mcs::CheckpointManifest stored;
+            stored.storage = mcs::to_string(geometry.tier);
+            stored.input_fingerprint = geometry.input_fingerprint;
+            stored.plan_fingerprint = geometry.plan_fingerprint;
+            mcs::CheckpointManifest wanted;
+            wanted.storage = mcs::to_string(runtime.storage);
+            wanted.input_fingerprint = input.fingerprint();
+            wanted.plan_fingerprint = runner.plan_for(input).fingerprint();
+            const std::string why = wanted.mismatch(stored.to_json());
+            MCS_CHECK_MSG(why.empty(),
+                          "checkpoint resume refused (" + why +
+                              "); delete " + slab_dir +
+                              " or drop --resume to start over");
+        } else {
+            store = runner.create_slab_store(slab_dir, input);
         }
-        std::unique_ptr<mcs::AdversaryInjector> adversary;
-        if (adversary_spec.has_value()) {
-            adversary =
-                std::make_unique<mcs::AdversaryInjector>(*adversary_spec);
-            runtime.adversary = adversary.get();
-        }
-        std::unique_ptr<mcs::DefenseSuite> defense;
-        if (defense_spec.has_value()) {
-            defense = std::make_unique<mcs::DefenseSuite>(*defense_spec);
-            runtime.defense = defense.get();
-        }
-        mcs::FleetRunner runner(runtime);
-        mcs::FleetResult fleet;
-        if (!slab_dir.empty()) {
-            // --resume re-opens the store the interrupted run laid out
-            // (so torn slabs re-run); otherwise lay it out fresh from the
-            // imported fleet.
-            std::unique_ptr<mcs::SlabStore> store;
-            if (runtime.resume &&
-                std::filesystem::exists(slab_dir + "/slabs.meta")) {
-                store = std::make_unique<mcs::SlabStore>(slab_dir);
-            } else {
-                store = runner.create_slab_store(slab_dir, input);
-            }
-            plan_window_bytes =
-                runner.resident_window_bytes(store->geometry());
-            fleet = runner.run_streamed(*store, config,
-                                        want_stats ? &ctx : nullptr);
-            // The CLI's CSV/metrics outputs are fleet-shaped, so
-            // materialise the aggregate from the output slabs here — the
-            // scale harness, not the CLI, is the keep-it-on-disk path.
-            fleet.aggregate.detection = mcs::Matrix(n, t);
-            fleet.aggregate.reconstructed_x = mcs::Matrix(n, t);
-            fleet.aggregate.reconstructed_y = mcs::Matrix(n, t);
-            const auto& infos = store->shards();
-            for (std::size_t s = 0; s < infos.size(); ++s) {
-                const std::size_t rows = infos[s].size();
-                mcs::Matrix det(rows, t);
-                mcs::Matrix rx(rows, t);
-                mcs::Matrix ry(rows, t);
-                double* mats[mcs::kSlabOutputMatrices] = {
-                    det.data().data(), rx.data().data(), ry.data().data()};
-                store->read_outputs(s, mats);
-                for (std::size_t k = 0; k < rows; ++k) {
-                    const std::size_t row =
-                        infos[s].rows.empty()
-                            ? static_cast<std::size_t>(infos[s].begin) + k
-                            : infos[s].rows[k];
-                    for (std::size_t j = 0; j < t; ++j) {
-                        fleet.aggregate.detection(row, j) = det(k, j);
-                        fleet.aggregate.reconstructed_x(row, j) = rx(k, j);
-                        fleet.aggregate.reconstructed_y(row, j) = ry(k, j);
-                    }
+        window_bytes = runner.resident_window_bytes(store->geometry());
+        fleet = runner.run_streamed(*store, config,
+                                    want_stats ? &ctx : nullptr);
+        // The CLI's CSV/metrics outputs are fleet-shaped, so materialise
+        // the aggregate from the output slabs here — the scale harness,
+        // not the CLI, is the keep-it-on-disk path.
+        fleet.aggregate.detection = mcs::Matrix(n, t);
+        fleet.aggregate.reconstructed_x = mcs::Matrix(n, t);
+        fleet.aggregate.reconstructed_y = mcs::Matrix(n, t);
+        const auto& infos = store->shards();
+        for (std::size_t s = 0; s < infos.size(); ++s) {
+            const std::size_t rows = infos[s].size();
+            mcs::Matrix det(rows, t);
+            mcs::Matrix rx(rows, t);
+            mcs::Matrix ry(rows, t);
+            double* mats[mcs::kSlabOutputMatrices] = {
+                det.data().data(), rx.data().data(), ry.data().data()};
+            store->read_outputs(s, mats);
+            for (std::size_t k = 0; k < rows; ++k) {
+                const std::size_t row =
+                    infos[s].rows.empty()
+                        ? static_cast<std::size_t>(infos[s].begin) + k
+                        : infos[s].rows[k];
+                for (std::size_t j = 0; j < t; ++j) {
+                    fleet.aggregate.detection(row, j) = det(k, j);
+                    fleet.aggregate.reconstructed_x(row, j) = rx(k, j);
+                    fleet.aggregate.reconstructed_y(row, j) = ry(k, j);
                 }
             }
-        } else {
-            fleet = runner.run(input, config, want_stats ? &ctx : nullptr);
         }
-        plan_cells = runner.plan_for(input).cells();
-        steal_stats = fleet.steals;
-        result = std::move(fleet.aggregate);
-        shard_reports = std::move(fleet.shards);
-        checkpoint = std::move(fleet.checkpoint);
-        adversary_result = std::move(fleet.adversary);
-        defense_result = std::move(fleet.defense);
-        resolved_shard_count = shard_reports.size();
     } else {
-        result = mcs::run_itscs(input, config, {},
-                                want_stats ? &ctx : nullptr);
+        fleet = runner.run(input, config, want_stats ? &ctx : nullptr);
     }
+    const mcs::ItscsResult& result = fleet.aggregate;
+    const mcs::CheckpointSummary& checkpoint = fleet.checkpoint;
+    // FleetRunner installs the row-block threshold only for the run; echo
+    // the value it used.
+    const std::size_t row_block_threshold =
+        runtime.kernel_row_block_threshold != 0
+            ? runtime.kernel_row_block_threshold
+            : mcs::kernel_row_block_threshold();
 
     mcs::TraceDataset cleaned{result.reconstructed_x, result.reconstructed_y,
                               input.vx, input.vy, input.tau_s};
@@ -723,7 +703,7 @@ int cmd_clean(const Args& args) {
         report["participants"] = n;
         report["slots"] = t;
         report["variant"] = args.get_or("variant", "full");
-        report["solver"] = std::string(mcs::to_string(solver));
+        report["solver"] = std::string(mcs::to_string(config.cs.solver));
         report["iterations"] = result.iterations;
         report["converged"] = result.converged;
         report["flagged_readings"] = flagged;
@@ -736,81 +716,79 @@ int cmd_clean(const Args& args) {
             history.push_back(row);
         }
         report["history"] = history;
-        report["kernel"] = kernel_info(tier);
-        if (adversary_spec.has_value()) {
+        report["kernel"] =
+            kernel_info(runtime.kernel_tier, row_block_threshold);
+        if (args.has("adversary")) {
             report["adversary"] =
-                adversary_info(args.get("adversary"), adversary_result);
+                adversary_info(args.get("adversary"), fleet.adversary);
         }
-        if (defense_spec.has_value()) {
+        if (args.has("defense")) {
             report["defense"] =
-                defense_info(args.get_or("defense", ""), defense_result);
+                defense_info(args.get_or("defense", ""), fleet.defense);
         }
-        if (use_runner) {
-            // The plan line: how the fleet was decomposed and how much of
-            // it is ever resident, so degraded locality (row-planned
-            // geographic data, a window close to the in-core footprint)
-            // is visible at a glance.
-            mcs::Json plan_line = mcs::Json::object();
-            plan_line["planner"] = std::string(mcs::to_string(planner));
-            plan_line["shards"] = resolved_shard_count;
-            plan_line["cells"] = plan_cells;
-            plan_line["mode"] =
-                slab_dir.empty() ? "in-core" : "streamed";
-            const std::size_t in_core_bytes =
-                n * t * sizeof(double) *
-                (mcs::kSlabInputMatrices + mcs::kSlabOutputMatrices);
-            plan_line["in_core_bytes"] = in_core_bytes;
-            plan_line["resident_window_bytes"] =
-                slab_dir.empty() ? in_core_bytes : plan_window_bytes;
-            if (!slab_dir.empty()) {
-                plan_line["slab_dir"] = slab_dir;
-                plan_line["storage"] =
-                    std::string(mcs::to_string(storage));
-                plan_line["memory_budget_mb"] = memory_budget;
-            }
-            report["plan"] = plan_line;
-            mcs::Json runtime = mcs::Json::object();
-            runtime["threads"] = threads;
-            runtime["kernel_threads"] = kernel_threads;
-            runtime["kernel_tier"] = std::string(mcs::to_string(tier));
-            runtime["solver"] = std::string(mcs::to_string(solver));
-            runtime["row_block_threshold"] =
-                mcs::kernel_row_block_threshold();
-            // The *resolved* decomposition, so a report from a run that
-            // leaned on machine defaults still states what actually ran.
-            runtime["shard_size"] = shard_size;
-            runtime["shard_count"] = resolved_shard_count;
-            runtime["shards_stolen"] = steal_stats.stolen_items;
-            if (checkpoint.enabled) {
-                mcs::Json cp = mcs::Json::object();
-                cp["dir"] = args.get("checkpoint-dir");
-                cp["resume"] = args.has("resume");
-                cp["shards_loaded"] = checkpoint.shards_loaded;
-                cp["shards_run"] = checkpoint.shards_run;
-                cp["corrupt_frames"] = checkpoint.corrupt_frames;
-                cp["torn_tail"] = checkpoint.torn_tail;
-                mcs::Json journal_failures = mcs::Json::array();
-                for (const mcs::FailureReport& failure :
-                     checkpoint.journal_failures) {
-                    journal_failures.push_back(failure.to_json());
-                }
-                cp["journal_failures"] = journal_failures;
-                runtime["checkpoint"] = cp;
-            }
-            mcs::Json shards = mcs::Json::array();
-            for (const auto& s : shard_reports) {
-                mcs::Json row = mcs::Json::object();
-                row["begin"] = s.shard.begin;
-                row["end"] = s.shard.end;
-                row["iterations"] = s.iterations;
-                row["converged"] = s.converged;
-                row["level"] = mcs::to_string(s.level);
-                row["attempts"] = s.attempts;
-                shards.push_back(row);
-            }
-            runtime["shards"] = shards;
-            report["runtime"] = runtime;
+        // The plan line: how the fleet was decomposed and how much of it
+        // is ever resident, so degraded locality (row-planned geographic
+        // data, a window close to the in-core footprint) is visible at a
+        // glance.
+        mcs::Json plan_line = mcs::Json::object();
+        plan_line["planner"] = std::string(mcs::to_string(runtime.planner));
+        plan_line["shards"] = fleet.shards.size();
+        plan_line["cells"] = runner.plan_for(input).cells();
+        plan_line["mode"] = slab_dir.empty() ? "in-core" : "streamed";
+        const std::size_t in_core_bytes =
+            n * t * sizeof(double) *
+            (mcs::kSlabInputMatrices + mcs::kSlabOutputMatrices);
+        plan_line["in_core_bytes"] = in_core_bytes;
+        plan_line["resident_window_bytes"] =
+            slab_dir.empty() ? in_core_bytes : window_bytes;
+        if (!slab_dir.empty()) {
+            plan_line["slab_dir"] = slab_dir;
+            plan_line["storage"] =
+                std::string(mcs::to_string(runtime.storage));
+            plan_line["memory_budget_mb"] = runtime.memory_budget_mb;
         }
+        report["plan"] = plan_line;
+        mcs::Json runtime_line = mcs::Json::object();
+        runtime_line["threads"] = runtime.threads;
+        runtime_line["kernel_threads"] = runtime.kernel_threads;
+        runtime_line["kernel_tier"] =
+            std::string(mcs::to_string(runtime.kernel_tier));
+        runtime_line["solver"] = std::string(mcs::to_string(config.cs.solver));
+        runtime_line["row_block_threshold"] = row_block_threshold;
+        // The *resolved* decomposition, so a report from a run that leaned
+        // on machine defaults still states what actually ran.
+        runtime_line["shard_size"] = runtime.shard_size;
+        runtime_line["shard_count"] = fleet.shards.size();
+        runtime_line["shards_stolen"] = fleet.steals.stolen_items;
+        if (checkpoint.enabled) {
+            mcs::Json cp = mcs::Json::object();
+            cp["dir"] = args.get("checkpoint-dir");
+            cp["resume"] = args.has("resume");
+            cp["shards_loaded"] = checkpoint.shards_loaded;
+            cp["shards_run"] = checkpoint.shards_run;
+            cp["corrupt_frames"] = checkpoint.corrupt_frames;
+            cp["torn_tail"] = checkpoint.torn_tail;
+            mcs::Json journal_failures = mcs::Json::array();
+            for (const mcs::FailureReport& failure :
+                 checkpoint.journal_failures) {
+                journal_failures.push_back(failure.to_json());
+            }
+            cp["journal_failures"] = journal_failures;
+            runtime_line["checkpoint"] = cp;
+        }
+        mcs::Json shards = mcs::Json::array();
+        for (const auto& s : fleet.shards) {
+            mcs::Json row = mcs::Json::object();
+            row["begin"] = s.shard.begin;
+            row["end"] = s.shard.end;
+            row["iterations"] = s.iterations;
+            row["converged"] = s.converged;
+            row["level"] = mcs::to_string(s.level);
+            row["attempts"] = s.attempts;
+            shards.push_back(row);
+        }
+        runtime_line["shards"] = shards;
+        report["runtime"] = runtime_line;
         if (want_stats) {
             report["stats"] = ctx.to_json();
         }
@@ -818,13 +796,13 @@ int cmd_clean(const Args& args) {
     }
     if (args.has("failure-report")) {
         mcs::Json fr = mcs::Json::object();
-        fr["shards"] = shard_reports.size();
-        if (chaos_config.has_value()) {
+        fr["shards"] = fleet.shards.size();
+        if (args.has("chaos")) {
             fr["chaos"] = args.get("chaos");
         }
         std::size_t by_level[4] = {0, 0, 0, 0};
         mcs::Json per_shard = mcs::Json::array();
-        for (const auto& s : shard_reports) {
+        for (const auto& s : fleet.shards) {
             by_level[static_cast<std::size_t>(s.level)] += 1;
             mcs::Json row = mcs::Json::object();
             row["shard"] = s.shard.index;
@@ -851,7 +829,7 @@ int cmd_clean(const Args& args) {
     }
     if (want_stats) {
         mcs::Json stats = ctx.to_json();
-        stats["kernel"] = kernel_info(tier);
+        stats["kernel"] = kernel_info(runtime.kernel_tier, row_block_threshold);
         std::cout << stats.dump(2) << "\n";
     }
     // Status lines go to stderr, so that stdout holds only the
@@ -863,19 +841,19 @@ int cmd_clean(const Args& args) {
                   << " corrupt frame(s)"
                   << (checkpoint.torn_tail ? ", torn tail" : "") << "\n";
     }
-    if (defense_spec.has_value()) {
-        std::cerr << "defense: " << defense_result.quarantined.size()
-                  << " quarantined (" << defense_result.reinstated.size()
-                  << " reinstated, " << defense_result.confirmed.size()
-                  << " confirmed), " << defense_result.outages.size()
-                  << " outage block(s)\n";
+    if (args.has("defense")) {
+        const mcs::DefenseReport& d = fleet.defense;
+        std::cerr << "defense: " << d.quarantined.size() << " quarantined ("
+                  << d.reinstated.size() << " reinstated, "
+                  << d.confirmed.size() << " confirmed), "
+                  << d.outages.size() << " outage block(s)\n";
     }
     std::cerr << "cleaned trace written to " << args.get("out") << " ("
               << flagged << " readings flagged, " << result.iterations
               << " iterations)\n";
     if (args.has("strict")) {
         std::size_t degraded = 0;
-        for (const auto& s : shard_reports) {
+        for (const auto& s : fleet.shards) {
             if (s.level != mcs::DegradationLevel::kNominal) {
                 ++degraded;
             }
@@ -950,7 +928,6 @@ int cmd_serve(const Args& args) {
     serve.runtime.shard_count =
         shard_count > 0 ? shard_count : (shard_size == 0 ? threads : 0);
     serve.runtime.kernel_tier = tier;
-    serve.runtime.solver = solver;
     std::unique_ptr<mcs::ChaosInjector> injector;
     if (args.has("chaos")) {
         injector = std::make_unique<mcs::ChaosInjector>(

@@ -176,4 +176,57 @@ if "$ITSCS" clean --in /nonexistent.csv --participants 2 --slots 2 \
     echo "expected bad solver name failure"; exit 1
 fi
 
+echo "== default clean is a one-shard FleetRunner plan =="
+"$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
+    --threads 1 --shard-count 1 --out "$WORKDIR/cleaned_one.csv" \
+    --report "$WORKDIR/report_one.json"
+cmp "$WORKDIR/cleaned.csv" "$WORKDIR/cleaned_one.csv"
+python3 - "$WORKDIR/report.json" "$WORKDIR/report_one.json" <<'EOF2'
+import json, sys
+default, one = (json.load(open(path)) for path in sys.argv[1:])
+assert default == one, sorted(k for k in one if default.get(k) != one[k])
+assert default["plan"]["shards"] == 1 and default["runtime"]["threads"] == 1
+EOF2
+
+echo "== streamed clean (--slab-dir) matches the in-core clean =="
+"$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
+    --threads 2 --shard-size 8 --slab-dir "$WORKDIR/slabs" \
+    --out "$WORKDIR/cleaned_slab.csv" --flags "$WORKDIR/flags_slab.csv" \
+    --report "$WORKDIR/report_slab.json"
+"$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
+    --threads 2 --shard-size 8 \
+    --out "$WORKDIR/cleaned_incore.csv" --flags "$WORKDIR/flags_incore.csv"
+cmp "$WORKDIR/cleaned_incore.csv" "$WORKDIR/cleaned_slab.csv"
+cmp "$WORKDIR/flags_incore.csv" "$WORKDIR/flags_slab.csv"
+grep -q '"mode": "streamed"' "$WORKDIR/report_slab.json"
+
+echo "== a non-finite observed reading degrades its shard, not the run =="
+# Poison participant 0's first x reading.
+awk -F, 'BEGIN { OFS = "," } NR == 2 { $3 = "nan" } { print }' \
+    "$WORKDIR/corrupted.csv" > "$WORKDIR/nan.csv"
+"$ITSCS" clean --in "$WORKDIR/nan.csv" --participants 20 --slots 60 \
+    --out "$WORKDIR/cleaned_nan.csv" --report "$WORKDIR/report_nan.json"
+grep -q '"level": "conservative"' "$WORKDIR/report_nan.json"
+set +e
+"$ITSCS" clean --in "$WORKDIR/nan.csv" --participants 20 --slots 60 \
+    --strict --out "$WORKDIR/cleaned_nan.csv" 2> /dev/null
+STATUS=$?
+set -e
+test "$STATUS" -eq 3 || { echo "expected strict exit 3, got $STATUS"; exit 1; }
+
+echo "== flags that need another flag are refused alone =="
+refused_without() {
+    local needs="$1"
+    shift
+    if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
+        --slots 60 --out "$WORKDIR/never.csv" "$@" \
+        2> "$WORKDIR/dependent.err"; then
+        echo "expected $1 without --$needs to fail"; exit 1
+    fi
+    grep -q -- "$1 requires --$needs" "$WORKDIR/dependent.err"
+}
+refused_without slab-dir --storage f32
+refused_without slab-dir --memory-budget 64
+refused_without checkpoint-dir --resume
+
 echo "CLI pipeline OK"

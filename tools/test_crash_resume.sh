@@ -121,4 +121,38 @@ test "$STATUS" -eq 2 || {
 }
 grep -q "resume refused" "$WORKDIR/refused.err"
 
+echo "== slab store resume against a different input or plan is refused =="
+# The streamed journal takes its fingerprints from the slab store, so the
+# store itself must belong to this run before --resume may reopen it.
+SLABS="$WORKDIR/slabs"
+rm -rf "$CK"
+"$ITSCS" clean "${COMMON[@]}" --threads 2 --slab-dir "$SLABS" \
+    --checkpoint-dir "$CK" --out "$WORKDIR/slab.csv" > /dev/null 2>&1
+cmp "$WORKDIR/ref.csv" "$WORKDIR/slab.csv"
+refused_slab_resume() {
+    local field="$1"
+    shift
+    set +e
+    "$ITSCS" clean "$@" --participants "$N" --slots "$T" --threads 2 \
+        --slab-dir "$SLABS" --checkpoint-dir "$CK" --resume \
+        --out "$WORKDIR/refused.csv" > /dev/null 2> "$WORKDIR/refused.err"
+    local status=$?
+    set -e
+    test "$status" -eq 2 || {
+        echo "expected refusal exit 2, got $status" >&2
+        exit 1
+    }
+    grep -q "checkpoint resume refused ($field differs" "$WORKDIR/refused.err"
+}
+refused_slab_resume input_fingerprint --in "$WORKDIR/other.csv" \
+    --shard-size 4
+refused_slab_resume plan_fingerprint --in "$WORKDIR/corrupted.csv" \
+    --shard-size 8
+# The refusals left the store alone: the matching resume restores it all.
+"$ITSCS" clean "${COMMON[@]}" --threads 2 --slab-dir "$SLABS" \
+    --checkpoint-dir "$CK" --resume --out "$WORKDIR/slab_resumed.csv" \
+    > /dev/null 2> "$WORKDIR/slab_resume.err"
+grep -q "8 shard(s) restored, 0 run" "$WORKDIR/slab_resume.err"
+cmp "$WORKDIR/ref.csv" "$WORKDIR/slab_resumed.csv"
+
 echo "crash/resume: all checks passed"

@@ -8,6 +8,9 @@
 #                            runtime_test + runtime_chaos_test +
 #                            core_streaming_test under TSan
 #   tools/verify.sh asan     memory job: same runtime-facing tests plus
+#                            the journal restore, mmap slab and frame
+#                            decoder tests (runtime_checkpoint_test,
+#                            runtime_scale_test, persist_frame_test),
 #                            core_itscs_test and the CS solve and kernel
 #                            tests (cs_asd_test, cs_objective_test,
 #                            cs_solver_backend_test, linalg_kernels_test)
@@ -82,10 +85,11 @@ asan() {
     echo "== asan: build (MCS_SANITIZE=address) =="
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)" \
-        --target runtime_test runtime_chaos_test core_streaming_test \
+        --target runtime_test runtime_chaos_test runtime_checkpoint_test \
+        runtime_scale_test persist_frame_test core_streaming_test \
         core_itscs_test cs_asd_test cs_objective_test \
         cs_solver_backend_test linalg_kernels_test
-    echo "== asan: runtime + chaos + streaming + itscs + CS solve + kernel tests =="
+    echo "== asan: runtime + checkpoint + slab + frame + streaming + itscs + CS solve + kernel tests =="
     ctest --preset asan
 }
 
