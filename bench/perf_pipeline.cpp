@@ -48,26 +48,17 @@
 // (every shard restored from the journal, nothing re-run). Written to
 // BENCH_checkpoint.json (and stdout).
 //
-// Pass `--backend-sweep` for the cross-backend shootout (DESIGN.md §14):
-// both recovery solvers (asd, lrsd) run the full fleet pipeline under
-// three fault regimes — i.i.d. bias, velocity faults (γ > 0), and
-// clustered drift bursts — and the report records quality (precision /
-// recall / F1 against ground-truth faults, reconstruction MAE) alongside
-// runtime (median wall, iteration/round counters) per {regime, backend}
-// cell. Written to BENCH_backends.json (and stdout). Exits nonzero when
-// any cell produced empty or non-finite results, so CI can gate on it;
-// `--quick` shrinks the fleet for the CI perf-smoke job.
-//
 // Pass `--adversary-sweep` for the structured-adversary degradation
 // curves (DESIGN.md §16): detection quality (precision / recall / F1
 // against the adversary-aware fault mask, adversary-cell recall,
 // reconstruction MAE, and the ground-truth-free quality score) vs.
-// collusion size, regional-outage extent, and fraud-replay count, for
-// both solver backends, plus a cross-layer identity block proving the
-// corruption-path and RuntimeConfig-path injections agree and that an
-// adversarial fleet run is bit-identical at 1/2/7 worker threads.
-// Written to BENCH_adversary.json (and stdout); exits nonzero on empty
-// or non-finite cells or broken identities, like the backend shootout.
+// collusion size, regional-outage extent, and fraud-replay count, plus a
+// cross-layer identity block proving the corruption-path and
+// RuntimeConfig-path injections agree and that an adversarial fleet run
+// is bit-identical at 1/2/7 worker threads. Written to
+// BENCH_adversary.json (and stdout); exits nonzero on empty or
+// non-finite cells or broken identities; `--quick` shrinks the fleet for
+// the CI smoke job.
 //
 // Pass `--defense-sweep` for the adversary defence curves (DESIGN.md
 // §17): the nested-collusion sweep run defence-off and defence-on, the
@@ -450,8 +441,8 @@ mcs::Json runtime_sweep_report(std::size_t repeat,
 //   2. at a cross-checkable scale, the streamed run is bit-identical to
 //      the in-core run, and the work-stealing scheduler is bit-identical
 //      across 1/2/7 worker threads (compared via output-slab CRCs);
-//   3. the float32 storage tier under the mixed kernel tier moves
-//      detection F1 by ≤ 1e-3 relative to f64/exact storage.
+//   3. the float32 storage tier, run on the fast kernel tier, moves
+//      detection F1 by ≤ 1e-3 relative to the f64 exact-tier run of 2.
 
 std::size_t peak_rss_bytes() {
     std::ifstream status("/proc/self/status");
@@ -728,36 +719,33 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
     }
     ok = ok && streamed_equals_in_core && threads_identical;
 
-    // -- claim 3: f32 storage + mixed kernels move F1 by ≤ 1e-3 ----------
-    std::cerr << "scale sweep: f32/mixed tier...\n";
+    // -- claim 3: f32 storage moves F1 by ≤ 1e-3 --------------------------
+    std::cerr << "scale sweep: f32 storage...\n";
     double f1_f32 = 0.0;
-    mcs::Json mixed = mcs::Json::object();
+    mcs::Json f32 = mcs::Json::object();
     {
         mcs::RuntimeConfig rcfg;
         rcfg.threads = 2;
         rcfg.shard_size = small_rows;
         rcfg.remainder = mcs::ShardRemainder::kTail;
         rcfg.storage = mcs::StorageTier::kF32;
-        rcfg.kernel_tier = mcs::KernelTier::kMixed;
+        rcfg.kernel_tier = mcs::KernelTier::kFast;
         mcs::FleetRunner runner(rcfg);
         auto store =
             build_scale_store(root + "/f32", small_plan, slots, base_seed,
                               mcs::StorageTier::kF32);
-        mcs::PipelineContext ctx;
         const mcs::FleetResult fleet =
-            runner.run_streamed(*store, mcs::ItscsConfig{}, &ctx);
+            runner.run_streamed(*store, mcs::ItscsConfig{});
         f1_f32 = scale_confusion(*store, base_seed).f1();
-        mixed["slab_file_bytes"] = store->geometry().file_size();
-        mixed["converged"] = fleet.aggregate.converged;
-        mixed["gate_checks"] = ctx.counters().mixed_gate_checks;
-        mixed["gate_trips"] = ctx.counters().mixed_gate_trips;
+        f32["slab_file_bytes"] = store->geometry().file_size();
+        f32["converged"] = fleet.aggregate.converged;
     }
     const double f1_delta = std::abs(f1_f32 - f1_f64);
     ok = ok && f1_delta <= 1e-3;
-    mixed["f1_f64"] = f1_f64;
-    mixed["f1_f32"] = f1_f32;
-    mixed["f1_delta"] = f1_delta;
-    mixed["f1_delta_within_1e3"] = f1_delta <= 1e-3;
+    f32["f1_f64"] = f1_f64;
+    f32["f1_f32"] = f1_f32;
+    f32["f1_delta"] = f1_delta;
+    f32["f1_delta_within_1e3"] = f1_delta <= 1e-3;
 
     mcs::Json identity = mcs::Json::object();
     identity["fleet"] = mcs::Json::object();
@@ -769,7 +757,7 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
     identity["bitwise_identical_across_1_2_7_threads"] = threads_identical;
     identity["runs"] = identity_rows;
     report["identity"] = identity;
-    report["mixed_precision"] = mixed;
+    report["f32_storage"] = f32;
     mcs::stamp_environment(report, repeat,
                            /*threads_used=*/mcs::effective_cpu_count(),
                            quick);
@@ -1057,171 +1045,6 @@ mcs::Json checkpoint_sweep_report(std::size_t repeat) {
     return report;
 }
 
-// ---- backend shootout ----------------------------------------------------
-//
-// Quality x runtime x fault regime for both SolverBackend implementations
-// (DESIGN.md §14). Each cell runs the whole fleet pipeline — FleetRunner,
-// guards, shard merge — with the solver selected through the runtime knob,
-// exactly as `itscs clean --solver` would. The three regimes pick at the
-// backends' different CHECK mechanisms: i.i.d. bias is the paper's §IV-A
-// model (threshold Check() is well matched), velocity faults poison the
-// side information ASD's objective leans on, and clustered drift bursts
-// let neighbouring faults vouch for each other — the case where the
-// LS-decomposition's sparse component plausibly beats a residual
-// threshold. A cell is *valid* when its matrices are non-empty, every
-// value (metrics included) is finite, and the solver actually ran; the
-// report's `all_valid` gates CI.
-struct BackendRegime {
-    const char* name;
-    const char* description;
-    mcs::CorruptionConfig corruption;
-};
-
-std::vector<BackendRegime> backend_regimes() {
-    mcs::CorruptionConfig iid;
-    iid.missing_ratio = 0.2;
-    iid.fault_ratio = 0.2;
-    iid.seed = 5;
-
-    mcs::CorruptionConfig velocity = iid;
-    velocity.velocity_fault_ratio = 0.2;
-
-    mcs::CorruptionConfig clustered = iid;
-    clustered.fault_model = mcs::FaultModel::kDrift;
-
-    return {
-        {"iid_bias", "independent per-cell biases (paper §IV-A)", iid},
-        {"velocity_faults", "γ = 0.2 of velocity uploads faulted too",
-         velocity},
-        {"clustered_drift", "contiguous drift bursts (FaultModel::kDrift)",
-         clustered},
-    };
-}
-
-mcs::Json backend_sweep_report(std::size_t repeat, bool quick,
-                               bool* all_valid_out) {
-    const std::size_t shard_size = 40;
-    const std::size_t shards = quick ? 2 : 4;
-    const std::size_t slots = quick ? 96 : 240;
-    const std::size_t participants = shard_size * shards;
-
-    std::cerr << "backend sweep: simulating " << participants << "x" << slots
-              << " fleet" << (quick ? " (quick)" : "") << "...\n";
-    const mcs::TraceDataset truth =
-        mcs::make_small_dataset(11, participants, slots);
-
-    mcs::Json rows = mcs::Json::array();
-    bool all_valid = true;
-    for (const BackendRegime& regime : backend_regimes()) {
-        const mcs::CorruptedDataset data = mcs::corrupt(truth,
-                                                        regime.corruption);
-        const mcs::ItscsInput input = mcs::to_itscs_input(data);
-        double asd_ms = 0.0;
-        for (const mcs::SolverKind solver :
-             {mcs::SolverKind::kAsd, mcs::SolverKind::kLrsd}) {
-            std::cerr << "backend sweep: regime=" << regime.name
-                      << " solver=" << to_string(solver) << "\n";
-            mcs::RuntimeConfig config;
-            config.threads = 4;
-            config.shard_size = shard_size;
-            config.remainder = mcs::ShardRemainder::kTail;
-            mcs::ItscsConfig framework;
-            framework.cs.solver = solver;
-            mcs::FleetRunner runner(config);
-            runner.run(input, framework);  // warm-up
-            mcs::PipelineContext ctx;
-            mcs::FleetResult fleet;
-            std::vector<double> samples;
-            samples.reserve(repeat);
-            for (std::size_t rep = 0; rep < repeat; ++rep) {
-                const mcs::Stopwatch timer;
-                fleet = runner.run(input, framework,
-                                   rep == 0 ? &ctx : nullptr);
-                samples.push_back(timer.elapsed_seconds() * 1000.0);
-            }
-            const double wall_ms = median(std::move(samples));
-            if (solver == mcs::SolverKind::kAsd) {
-                asd_ms = wall_ms;
-            }
-
-            const mcs::ConfusionCounts confusion = mcs::evaluate_detection(
-                fleet.aggregate.detection, data.fault, data.existence);
-            const double mae = mcs::reconstruction_mae(
-                truth.x, truth.y, fleet.aggregate.reconstructed_x,
-                fleet.aggregate.reconstructed_y, data.existence,
-                fleet.aggregate.detection);
-            const mcs::PipelineCounters& counters = ctx.counters();
-
-            const bool non_empty =
-                !fleet.aggregate.detection.empty() &&
-                !fleet.aggregate.reconstructed_x.empty() &&
-                !fleet.aggregate.reconstructed_y.empty();
-            const bool finite =
-                non_empty && all_finite(fleet.aggregate.detection) &&
-                all_finite(fleet.aggregate.reconstructed_x) &&
-                all_finite(fleet.aggregate.reconstructed_y) &&
-                std::isfinite(confusion.precision()) &&
-                std::isfinite(confusion.recall()) &&
-                std::isfinite(confusion.f1()) && std::isfinite(mae) &&
-                std::isfinite(wall_ms);
-            const bool solver_ran =
-                solver == mcs::SolverKind::kLrsd
-                    ? counters.solves_lrsd > 0 && counters.lrsd_rounds > 0
-                    : counters.solves_asd > 0 && counters.asd_iterations > 0;
-            const bool valid = finite && solver_ran;
-            all_valid = all_valid && valid;
-
-            mcs::Json row = mcs::Json::object();
-            row["regime"] = std::string(regime.name);
-            row["solver"] = std::string(to_string(solver));
-            row["precision"] = confusion.precision();
-            row["recall"] = confusion.recall();
-            row["f1"] = confusion.f1();
-            row["false_positive_rate"] = confusion.false_positive_rate();
-            row["reconstruction_mae_m"] = mae;
-            row["wall_ms"] = wall_ms;
-            row["wall_vs_asd"] = asd_ms > 0.0 ? wall_ms / asd_ms : 1.0;
-            row["cs_solves"] = counters.cs_solves;
-            row["asd_iterations"] = counters.asd_iterations;
-            row["lrsd_rounds"] = counters.lrsd_rounds;
-            row["sparse_fault_cells"] = counters.sparse_fault_cells;
-            row["valid"] = valid;
-            rows.push_back(row);
-        }
-    }
-
-    mcs::Json regimes = mcs::Json::array();
-    for (const BackendRegime& regime : backend_regimes()) {
-        mcs::Json r = mcs::Json::object();
-        r["name"] = std::string(regime.name);
-        r["description"] = std::string(regime.description);
-        r["missing_ratio"] = regime.corruption.missing_ratio;
-        r["fault_ratio"] = regime.corruption.fault_ratio;
-        r["velocity_fault_ratio"] = regime.corruption.velocity_fault_ratio;
-        r["fault_model"] =
-            std::string(regime.corruption.fault_model ==
-                                mcs::FaultModel::kDrift
-                            ? "drift"
-                            : "bias");
-        regimes.push_back(r);
-    }
-
-    mcs::Json report = mcs::Json::object();
-    report["fleet"] = mcs::Json::object();
-    report["fleet"]["participants"] = participants;
-    report["fleet"]["slots"] = slots;
-    report["fleet"]["shard_size"] = shard_size;
-    report["fleet"]["shards"] = shards;
-    mcs::stamp_environment(report, repeat, /*threads_used=*/4, quick);
-    report["regimes"] = std::move(regimes);
-    report["shootout"] = std::move(rows);
-    report["all_valid"] = all_valid;
-    if (all_valid_out != nullptr) {
-        *all_valid_out = all_valid;
-    }
-    return report;
-}
-
 // ---- adversary sweep -----------------------------------------------------
 //
 // The paper-breaking-point experiment (DESIGN.md §16): how detection
@@ -1242,8 +1065,8 @@ mcs::Json backend_sweep_report(std::size_t repeat, bool quick,
 // Every cell records precision/recall/F1 against the adversary-aware
 // fault mask, recall restricted to adversarial cells, reconstruction MAE,
 // the ground-truth-free quality score (the eval axis for regimes with no
-// clean reference), ladder outcomes and median wall — for both solver
-// backends. An identity block then proves the corruption-path and
+// clean reference), ladder outcomes and median wall. An identity block
+// then proves the corruption-path and
 // RuntimeConfig-path injections produce identical fleet results and that
 // the runtime path is bit-identical at 1/2/7 workers.
 double adversary_recall(const mcs::Matrix& detection,
@@ -1314,10 +1137,9 @@ mcs::Json adversary_sweep_report(std::size_t repeat, bool quick,
 
     mcs::Json rows = mcs::Json::array();
     bool all_valid = true;
-    // F1 per collusion size per solver, for the breaking-point call-out.
-    std::vector<std::pair<std::size_t, double>> collusion_f1_asd;
-    std::vector<std::pair<std::size_t, double>> collusion_f1_lrsd;
-    double baseline_f1[2] = {0.0, 0.0};
+    // F1 per collusion size, for the breaking-point call-out.
+    std::vector<std::pair<std::size_t, double>> collusion_f1;
+    double baseline_f1 = 0.0;
 
     for (const Cell& cell : cells) {
         mcs::CorruptionConfig corruption = base;
@@ -1326,95 +1148,86 @@ mcs::Json adversary_sweep_report(std::size_t repeat, bool quick,
         }
         const mcs::CorruptedDataset data = mcs::corrupt(truth, corruption);
         const mcs::ItscsInput input = mcs::to_itscs_input(data);
-        for (const mcs::SolverKind solver :
-             {mcs::SolverKind::kAsd, mcs::SolverKind::kLrsd}) {
-            std::cerr << "adversary sweep: "
-                      << (cell.spec.empty() ? "baseline" : cell.spec)
-                      << " solver=" << to_string(solver) << "\n";
-            mcs::RuntimeConfig config;
-            config.threads = 4;
-            config.shard_size = shard_size;
-            config.remainder = mcs::ShardRemainder::kTail;
-            mcs::ItscsConfig framework;
-            framework.cs.solver = solver;
-            mcs::FleetRunner runner(config);
-            runner.run(input, framework);  // warm-up
-            mcs::FleetResult fleet;
-            std::vector<double> samples;
-            samples.reserve(repeat);
-            for (std::size_t rep = 0; rep < repeat; ++rep) {
-                const mcs::Stopwatch timer;
-                fleet = runner.run(input, framework);
-                samples.push_back(timer.elapsed_seconds() * 1000.0);
-            }
-            const double wall_ms = median(std::move(samples));
-
-            const mcs::ConfusionCounts confusion = mcs::evaluate_detection(
-                fleet.aggregate.detection, data.fault, data.existence);
-            const double adv_recall = adversary_recall(
-                fleet.aggregate.detection, data.adversary.mask);
-            const double mae = mcs::reconstruction_mae(
-                truth.x, truth.y, fleet.aggregate.reconstructed_x,
-                fleet.aggregate.reconstructed_y, data.existence,
-                fleet.aggregate.detection);
-            const mcs::QualityScore quality = mcs::evaluate_quality(
-                data.sx, data.sy, data.existence,
-                fleet.aggregate.detection, fleet.aggregate.reconstructed_x,
-                fleet.aggregate.reconstructed_y, data.tau_s);
-
-            std::size_t by_level[4] = {0, 0, 0, 0};
-            for (const mcs::ShardRunReport& s : fleet.shards) {
-                by_level[static_cast<std::size_t>(s.level)] += 1;
-            }
-
-            const bool finite =
-                !fleet.aggregate.detection.empty() &&
-                all_finite(fleet.aggregate.detection) &&
-                all_finite(fleet.aggregate.reconstructed_x) &&
-                all_finite(fleet.aggregate.reconstructed_y) &&
-                std::isfinite(confusion.f1()) && std::isfinite(mae) &&
-                std::isfinite(quality.composite) && std::isfinite(wall_ms);
-            all_valid = all_valid && finite;
-
-            const auto solver_index =
-                solver == mcs::SolverKind::kAsd ? 0 : 1;
-            if (std::string_view(cell.family) == "collusion") {
-                (solver_index == 0 ? collusion_f1_asd : collusion_f1_lrsd)
-                    .emplace_back(cell.level, confusion.f1());
-            } else if (std::string_view(cell.family) == "baseline") {
-                baseline_f1[solver_index] = confusion.f1();
-            }
-
-            mcs::Json outcomes = mcs::Json::object();
-            outcomes["nominal"] = by_level[0];
-            outcomes["conservative"] = by_level[1];
-            outcomes["interpolation"] = by_level[2];
-            outcomes["detect_only"] = by_level[3];
-
-            mcs::Json row = mcs::Json::object();
-            row["family"] = std::string(cell.family);
-            row["level"] = cell.level;
-            row["spec"] = cell.spec;
-            row["solver"] = std::string(to_string(solver));
-            row["adversarial_cells"] =
-                mcs::count_equal(data.adversary.mask, 1.0);
-            row["precision"] = confusion.precision();
-            row["recall"] = confusion.recall();
-            row["f1"] = confusion.f1();
-            row["false_positive_rate"] = confusion.false_positive_rate();
-            row["adversary_recall"] = adv_recall;
-            row["reconstruction_mae_m"] = mae;
-            row["quality_composite"] = quality.composite;
-            row["quality_residual_consistency"] =
-                quality.residual_consistency;
-            row["quality_velocity_plausibility"] =
-                quality.velocity_plausibility;
-            row["quality_detection_load"] = quality.detection_load;
-            row["outcomes"] = outcomes;
-            row["wall_ms"] = wall_ms;
-            row["valid"] = finite;
-            rows.push_back(row);
+        std::cerr << "adversary sweep: "
+                  << (cell.spec.empty() ? "baseline" : cell.spec) << "\n";
+        mcs::RuntimeConfig config;
+        config.threads = 4;
+        config.shard_size = shard_size;
+        config.remainder = mcs::ShardRemainder::kTail;
+        const mcs::ItscsConfig framework{};
+        mcs::FleetRunner runner(config);
+        runner.run(input, framework);  // warm-up
+        mcs::FleetResult fleet;
+        std::vector<double> samples;
+        samples.reserve(repeat);
+        for (std::size_t rep = 0; rep < repeat; ++rep) {
+            const mcs::Stopwatch timer;
+            fleet = runner.run(input, framework);
+            samples.push_back(timer.elapsed_seconds() * 1000.0);
         }
+        const double wall_ms = median(std::move(samples));
+
+        const mcs::ConfusionCounts confusion = mcs::evaluate_detection(
+            fleet.aggregate.detection, data.fault, data.existence);
+        const double adv_recall = adversary_recall(
+            fleet.aggregate.detection, data.adversary.mask);
+        const double mae = mcs::reconstruction_mae(
+            truth.x, truth.y, fleet.aggregate.reconstructed_x,
+            fleet.aggregate.reconstructed_y, data.existence,
+            fleet.aggregate.detection);
+        const mcs::QualityScore quality = mcs::evaluate_quality(
+            data.sx, data.sy, data.existence,
+            fleet.aggregate.detection, fleet.aggregate.reconstructed_x,
+            fleet.aggregate.reconstructed_y, data.tau_s);
+
+        std::size_t by_level[4] = {0, 0, 0, 0};
+        for (const mcs::ShardRunReport& s : fleet.shards) {
+            by_level[static_cast<std::size_t>(s.level)] += 1;
+        }
+
+        const bool finite =
+            !fleet.aggregate.detection.empty() &&
+            all_finite(fleet.aggregate.detection) &&
+            all_finite(fleet.aggregate.reconstructed_x) &&
+            all_finite(fleet.aggregate.reconstructed_y) &&
+            std::isfinite(confusion.f1()) && std::isfinite(mae) &&
+            std::isfinite(quality.composite) && std::isfinite(wall_ms);
+        all_valid = all_valid && finite;
+
+        if (std::string_view(cell.family) == "collusion") {
+            collusion_f1.emplace_back(cell.level, confusion.f1());
+        } else if (std::string_view(cell.family) == "baseline") {
+            baseline_f1 = confusion.f1();
+        }
+
+        mcs::Json outcomes = mcs::Json::object();
+        outcomes["nominal"] = by_level[0];
+        outcomes["conservative"] = by_level[1];
+        outcomes["interpolation"] = by_level[2];
+        outcomes["detect_only"] = by_level[3];
+
+        mcs::Json row = mcs::Json::object();
+        row["family"] = std::string(cell.family);
+        row["level"] = cell.level;
+        row["spec"] = cell.spec;
+        row["adversarial_cells"] =
+            mcs::count_equal(data.adversary.mask, 1.0);
+        row["precision"] = confusion.precision();
+        row["recall"] = confusion.recall();
+        row["f1"] = confusion.f1();
+        row["false_positive_rate"] = confusion.false_positive_rate();
+        row["adversary_recall"] = adv_recall;
+        row["reconstruction_mae_m"] = mae;
+        row["quality_composite"] = quality.composite;
+        row["quality_residual_consistency"] =
+            quality.residual_consistency;
+        row["quality_velocity_plausibility"] =
+            quality.velocity_plausibility;
+        row["quality_detection_load"] = quality.detection_load;
+        row["outcomes"] = outcomes;
+        row["wall_ms"] = wall_ms;
+        row["valid"] = finite;
+        rows.push_back(row);
     }
 
     // Breaking point: smallest collusion size whose F1 fell below 0.5.
@@ -1503,14 +1316,9 @@ mcs::Json adversary_sweep_report(std::size_t repeat, bool quick,
     mcs::stamp_environment(report, repeat, /*threads_used=*/4, quick);
     report["sweep"] = std::move(rows);
     mcs::Json breaking = mcs::Json::object();
-    breaking["baseline_f1_asd"] = baseline_f1[0];
-    breaking["baseline_f1_lrsd"] = baseline_f1[1];
-    breaking["f1_below_half_collusion_asd"] =
-        breaking_point(collusion_f1_asd);
-    breaking["f1_below_half_collusion_lrsd"] =
-        breaking_point(collusion_f1_lrsd);
-    breaking["monotone_degradation_asd"] = monotone(collusion_f1_asd);
-    breaking["monotone_degradation_lrsd"] = monotone(collusion_f1_lrsd);
+    breaking["baseline_f1_asd"] = baseline_f1;
+    breaking["f1_below_half_collusion_asd"] = breaking_point(collusion_f1);
+    breaking["monotone_degradation_asd"] = monotone(collusion_f1);
     report["collusion_breaking_point"] = std::move(breaking);
     report["identity"] = std::move(identity);
     report["all_valid"] = all_valid;
@@ -1833,7 +1641,6 @@ int main(int argc, char** argv) {
     bool scale_sweep = false;
     bool chaos_sweep = false;
     bool checkpoint_sweep = false;
-    bool backend_sweep = false;
     bool adversary_sweep = false;
     bool defense_sweep = false;
     bool quick = false;
@@ -1868,10 +1675,6 @@ int main(int argc, char** argv) {
         }
         if (std::string_view(argv[i]) == "--checkpoint-sweep") {
             checkpoint_sweep = true;
-            continue;
-        }
-        if (std::string_view(argv[i]) == "--backend-sweep") {
-            backend_sweep = true;
             continue;
         }
         if (std::string_view(argv[i]) == "--adversary-sweep") {
@@ -1925,20 +1728,6 @@ int main(int argc, char** argv) {
         std::ofstream out("BENCH_checkpoint.json");
         out << report.dump(2) << "\n";
         std::cout << report.dump(2) << "\n";
-        return 0;
-    }
-    if (backend_sweep) {
-        bool all_valid = false;
-        const mcs::Json report = backend_sweep_report(
-            repeat == 0 ? 3 : repeat, quick, &all_valid);
-        std::ofstream out("BENCH_backends.json");
-        out << report.dump(2) << "\n";
-        std::cout << report.dump(2) << "\n";
-        if (!all_valid) {
-            std::cerr << "backend sweep: FAILED — empty or non-finite "
-                         "results in at least one cell\n";
-            return 1;
-        }
         return 0;
     }
     if (adversary_sweep) {

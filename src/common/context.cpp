@@ -6,15 +6,7 @@
 namespace mcs {
 
 const char* to_string(KernelTier tier) {
-    switch (tier) {
-        case KernelTier::kFast:
-            return "fast";
-        case KernelTier::kMixed:
-            return "mixed";
-        case KernelTier::kExact:
-            break;
-    }
-    return "exact";
+    return tier == KernelTier::kFast ? "fast" : "exact";
 }
 
 KernelTier parse_kernel_tier(const std::string& name) {
@@ -24,26 +16,8 @@ KernelTier parse_kernel_tier(const std::string& name) {
     if (name == "fast") {
         return KernelTier::kFast;
     }
-    if (name == "mixed") {
-        return KernelTier::kMixed;
-    }
     throw Error("unknown kernel tier '" + name +
-                "' (expected exact | fast | mixed)");
-}
-
-const char* to_string(SolverKind kind) {
-    return kind == SolverKind::kLrsd ? "lrsd" : "asd";
-}
-
-SolverKind parse_solver_kind(const std::string& name) {
-    if (name == "asd") {
-        return SolverKind::kAsd;
-    }
-    if (name == "lrsd") {
-        return SolverKind::kLrsd;
-    }
-    throw Error("unknown solver backend '" + name +
-                "' (expected asd | lrsd)");
+                "' (expected exact | fast)");
 }
 
 PipelineContext::PipelineContext(std::uint64_t seed) : rng_(seed) {}
@@ -95,9 +69,6 @@ void PipelineContext::merge(const PipelineContext& other) {
     if (other.kernel_tier_ != KernelTier::kExact) {
         kernel_tier_ = other.kernel_tier_;
     }
-    if (other.solver_ != SolverKind::kAsd) {
-        solver_ = other.solver_;
-    }
 #ifndef NDEBUG
     owner_ = std::thread::id{};  // ownership hand-off point
 #endif
@@ -117,10 +88,6 @@ void PipelineContext::absorb(const PipelineCounters& counters,
     counters_.svd_sweeps += counters.svd_sweeps;
     counters_.asd_iterations += counters.asd_iterations;
     counters_.cs_solves += counters.cs_solves;
-    counters_.solves_asd += counters.solves_asd;
-    counters_.solves_lrsd += counters.solves_lrsd;
-    counters_.lrsd_rounds += counters.lrsd_rounds;
-    counters_.sparse_fault_cells += counters.sparse_fault_cells;
     counters_.itscs_iterations += counters.itscs_iterations;
     counters_.detect_passes += counters.detect_passes;
     counters_.check_passes += counters.check_passes;
@@ -135,8 +102,6 @@ void PipelineContext::absorb(const PipelineCounters& counters,
     counters_.participants_quarantined += counters.participants_quarantined;
     counters_.defense_trips += counters.defense_trips;
     counters_.quarantine_reinstated += counters.quarantine_reinstated;
-    counters_.mixed_gate_checks += counters.mixed_gate_checks;
-    counters_.mixed_gate_trips += counters.mixed_gate_trips;
     counters_.shards_stolen += counters.shards_stolen;
     counters_.slab_shards_streamed += counters.slab_shards_streamed;
     for (const PhaseStat& stat : phases) {
@@ -172,10 +137,6 @@ Json PipelineContext::to_json() const {
     counters["svd_sweeps"] = counters_.svd_sweeps;
     counters["asd_iterations"] = counters_.asd_iterations;
     counters["cs_solves"] = counters_.cs_solves;
-    counters["solves_asd"] = counters_.solves_asd;
-    counters["solves_lrsd"] = counters_.solves_lrsd;
-    counters["lrsd_rounds"] = counters_.lrsd_rounds;
-    counters["sparse_fault_cells"] = counters_.sparse_fault_cells;
     counters["itscs_iterations"] = counters_.itscs_iterations;
     counters["detect_passes"] = counters_.detect_passes;
     counters["check_passes"] = counters_.check_passes;
@@ -191,8 +152,6 @@ Json PipelineContext::to_json() const {
         counters_.participants_quarantined;
     counters["defense_trips"] = counters_.defense_trips;
     counters["quarantine_reinstated"] = counters_.quarantine_reinstated;
-    counters["mixed_gate_checks"] = counters_.mixed_gate_checks;
-    counters["mixed_gate_trips"] = counters_.mixed_gate_trips;
     counters["shards_stolen"] = counters_.shards_stolen;
     counters["slab_shards_streamed"] = counters_.slab_shards_streamed;
 
@@ -207,7 +166,6 @@ Json PipelineContext::to_json() const {
 
     Json out = Json::object();
     out["kernel_tier"] = std::string(to_string(kernel_tier_));
-    out["solver_backend"] = std::string(to_string(solver_));
     out["counters"] = counters;
     out["phases"] = phases;
     return out;

@@ -54,38 +54,12 @@ class Json;
 ///     reduction order: deterministic run-to-run and across --threads on a
 ///     given machine/path, but not bit-identical to kExact (FMA contraction
 ///     and vector-lane reduction round differently; ≤1e-12 relative).
-///   * kMixed — mixed-precision (DESIGN.md §18): the GEMM-shaped data
-///     products run in float32 (operands demoted once per call, fixed
-///     reduction order, double the SIMD lanes of kFast) while the Gram
-///     formation, ridge, and Cholesky stay in float64 — the float32
-///     counterpart of mixed-precision ASD. Deterministic at any thread
-///     count like the other tiers, but only ~1e-5 relative per kernel, so
-///     FleetRunner arms a sampled exact-tier verification gate
-///     (mixed_verify_every / mixed_verify_tolerance) that re-solves
-///     selected shards under kExact and falls back when the results drift.
-enum class KernelTier : std::uint8_t { kExact = 0, kFast = 1, kMixed = 2 };
+enum class KernelTier : std::uint8_t { kExact = 0, kFast = 1 };
 
-/// "exact" / "fast" / "mixed".
+/// "exact" / "fast".
 const char* to_string(KernelTier tier);
 /// Inverse of to_string; throws mcs::Error on anything else.
 KernelTier parse_kernel_tier(const std::string& name);
-
-/// Recovery-solver backend (DESIGN.md §14). Like KernelTier, the enum lives
-/// in common so the PipelineContext and the checkpoint manifest can carry
-/// the selection without seeing the cs layer; the SolverBackend interface
-/// and its implementations live in cs/solver_backend.hpp.
-///
-///   * kAsd  — the paper's CORRECT step: ASD on the Eq. (23) objective.
-///     Default, and bit-identical to the pre-seam pipeline.
-///   * kLrsd — LS-decomposition (low-rank + sparse, arXiv:1509.03723 /
-///     the paper's [18]): the sparse component *is* the fault estimate,
-///     so this backend feeds Check() directly.
-enum class SolverKind : std::uint8_t { kAsd = 0, kLrsd = 1 };
-
-/// "asd" / "lrsd".
-const char* to_string(SolverKind kind);
-/// Inverse of to_string; throws mcs::Error on anything else.
-SolverKind parse_solver_kind(const std::string& name);
 
 /// Monotonic event counters. Plain struct so the linalg layer can bump them
 /// without seeing the full context (see Workspace).
@@ -102,12 +76,6 @@ struct PipelineCounters {
     std::uint64_t svd_sweeps = 0;             ///< one-sided Jacobi sweeps
     std::uint64_t asd_iterations = 0;         ///< ASD outer iterations
     std::uint64_t cs_solves = 0;              ///< cs_reconstruct calls
-    /// Per-backend splits of cs_solves (which SolverBackend served each
-    /// axis solve) plus the LRSD backend's own outer loop.
-    std::uint64_t solves_asd = 0;             ///< solves served by kAsd
-    std::uint64_t solves_lrsd = 0;            ///< solves served by kLrsd
-    std::uint64_t lrsd_rounds = 0;            ///< LRSD complete+reclassify rounds
-    std::uint64_t sparse_fault_cells = 0;     ///< cells in sparse supports
     std::uint64_t itscs_iterations = 0;       ///< framework iterations
     std::uint64_t detect_passes = 0;          ///< TS_Detect axis passes
     std::uint64_t check_passes = 0;           ///< Check() axis passes
@@ -120,8 +88,6 @@ struct PipelineCounters {
     std::uint64_t participants_quarantined = 0;   ///< rows entering quarantine
     std::uint64_t defense_trips = 0;          ///< defence tests that fired
     std::uint64_t quarantine_reinstated = 0;  ///< rows cleared by the re-test
-    std::uint64_t mixed_gate_checks = 0;      ///< sampled exact re-solves
-    std::uint64_t mixed_gate_trips = 0;       ///< mixed result rejected
     std::uint64_t shards_stolen = 0;          ///< shards run off-owner deque
     std::uint64_t slab_shards_streamed = 0;   ///< shards staged from slabs
 };
@@ -155,18 +121,10 @@ public:
     /// pipeline entry points (run_itscs / cs_reconstruct observe the
     /// ambient linalg tier; FleetRunner stamps its RuntimeConfig choice)
     /// so --stats-json reports what actually executed. merge() keeps any
-    /// non-exact record: a fleet that ran any shard on an accelerated tier
+    /// non-exact record: a fleet that ran any shard on the fast tier
     /// reports that tier.
     KernelTier kernel_tier() const { return kernel_tier_; }
     void set_kernel_tier(KernelTier tier) { kernel_tier_ = tier; }
-
-    /// Solver backend this context's pipeline ran under, stamped by the
-    /// cs dispatch layer (solve_axis) and FleetRunner. merge() keeps any
-    /// non-default record: a run that dispatched any solve to LRSD is an
-    /// LRSD run for reporting purposes (the per-backend counters carry the
-    /// exact split).
-    SolverKind solver_backend() const { return solver_; }
-    void set_solver_backend(SolverKind kind) { solver_ = kind; }
 
     /// Open/close a named timing phase. Phases nest; time is attributed
     /// inclusively to every open phase, keyed by name (first-seen order is
@@ -232,7 +190,6 @@ private:
     PipelineCounters counters_;
     HealthMonitor* health_ = nullptr;
     KernelTier kernel_tier_ = KernelTier::kExact;
-    SolverKind solver_ = SolverKind::kAsd;
     std::vector<PhaseStat> stats_;
     std::vector<OpenPhase> open_;
 #ifndef NDEBUG

@@ -7,7 +7,6 @@
 #include "common/failure.hpp"
 #include "common/hash.hpp"
 #include "cs/objective.hpp"
-#include "cs/solver_backend.hpp"
 #include "detect/detection.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/kernel_tier.hpp"
@@ -79,11 +78,6 @@ std::uint64_t config_fingerprint(const ItscsConfig& config) {
     h.mix_u64(config.cs.asd.scaled ? 1 : 0);
     h.mix_f64(config.cs.asd.gram_ridge);
     h.mix_u64(config.cs.center_rows ? 1 : 0);
-    h.mix_u64(static_cast<std::uint64_t>(config.cs.solver));
-    h.mix_f64(config.cs.lrsd.residual_threshold_m);
-    h.mix_f64(config.cs.lrsd.initial_threshold_m);
-    h.mix_f64(config.cs.lrsd.threshold_decay);
-    h.mix_u64(config.cs.lrsd.max_rounds);
     h.mix_f64(config.check.lower_m);
     h.mix_f64(config.check.upper_m);
     h.mix_u64(config.max_iterations);
@@ -125,7 +119,6 @@ struct AxisState {
     FactorPair warm;                  // previous factors (warm start)
     bool seeded = false;              // warm came from the caller (window
                                       // shifted → refresh R before use)
-    Matrix sparse_faults;             // backend fault estimate (may be empty)
     double last_objective = 0.0;
 };
 
@@ -528,13 +521,6 @@ LoopOutcome run_axes(std::vector<AxisState>& axes, const Matrix& existence,
             PipelineContext::PhaseScope phase(ctx, "correct");
             const Matrix gbim = make_gbim(existence, out.detection);
             for (auto& axis : axes) {
-                SolverProblem problem;
-                problem.s = axis.sensory;
-                problem.trusted = &gbim;
-                problem.existence = &existence;
-                problem.avg_velocity = &axis.avg_velocity;
-                problem.tau_s = tau_s;
-                problem.config = config.cs;
                 // Iteration 1 normally cold-starts; a caller-seeded warm
                 // state (streaming windows) makes even the first CORRECT
                 // warm, re-aligned to this window's centering. Later
@@ -546,12 +532,11 @@ LoopOutcome run_axes(std::vector<AxisState>& axes, const Matrix& existence,
                                              axis.avg_velocity, tau_s,
                                              config.cs);
                 }
-                CsReconstruction rec = solve_axis(
-                    problem, axis.warm.l.empty() ? nullptr : &axis.warm,
-                    ctx);
+                CsReconstruction rec = cs_reconstruct(
+                    *axis.sensory, gbim, axis.avg_velocity, tau_s, config.cs,
+                    axis.warm.l.empty() ? nullptr : &axis.warm, ctx);
                 axis.reconstructed = std::move(rec.estimate);
                 axis.warm = std::move(rec.factors);
-                axis.sparse_faults = std::move(rec.sparse_faults);
                 axis.last_objective = rec.final_objective;
             }
         }
@@ -580,23 +565,9 @@ LoopOutcome run_axes(std::vector<AxisState>& axes, const Matrix& existence,
             PipelineContext::PhaseScope phase(ctx, "check");
             Matrix check_union;
             for (const auto& axis : axes) {
-                // A backend with sparse-fault support already produced
-                // this axis's fault estimate during CORRECT (the sparse
-                // component of the decomposition is the detection), so
-                // Check() consumes it directly — CORRECT and DETECT are
-                // one computation on that path. Otherwise fall back to
-                // the threshold reconciliation of Check().
-                Matrix d;
-                if (!axis.sparse_faults.empty()) {
-                    if (ctx != nullptr) {
-                        ctx->counters().check_passes += 1;
-                    }
-                    d = axis.sparse_faults;
-                } else {
-                    d = check_axis(*axis.sensory, axis.reconstructed,
-                                   out.detection, existence, config.check,
-                                   ctx);
-                }
+                Matrix d = check_axis(*axis.sensory, axis.reconstructed,
+                                      out.detection, existence, config.check,
+                                      ctx);
                 check_union = check_union.empty()
                                   ? std::move(d)
                                   : detection_union(check_union, d);

@@ -61,11 +61,7 @@ struct ItscsInput {
 /// Full framework configuration.
 struct ItscsConfig {
     LocalMedianConfig detector;
-    /// Shared by the X and Y reconstructions. cs.solver picks the CORRECT
-    /// backend (DESIGN.md §14); a backend that returns its own sparse
-    /// fault estimate (kLrsd) replaces the CHECK threshold reconciliation
-    /// for that iteration — the sparse support *is* the detection.
-    CsConfig cs;
+    CsConfig cs;  ///< shared by the X and Y reconstructions
     CheckConfig check;
     std::size_t max_iterations = 8;  ///< safety bound (paper: ≤ 4 observed)
 
@@ -78,8 +74,7 @@ struct ItscsConfig {
 };
 
 /// FNV-1a digest over every ItscsConfig field that can change the solve
-/// (detector, CS, ASD, solver backend + LRSD options, check thresholds,
-/// iteration bounds). Companion of
+/// (detector, CS, ASD, check thresholds, iteration bounds). Companion of
 /// ItscsInput::fingerprint() for the checkpoint resume handshake: a journal
 /// written under one config must not seed a run under another.
 std::uint64_t config_fingerprint(const ItscsConfig& config);

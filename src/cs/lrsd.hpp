@@ -12,11 +12,6 @@
 // missing piece, supplied so the baseline can compete on Problem 1 at all.
 // Unlike I(TS,CS) there is no time-series detector, no velocity term, and
 // no CHECK hysteresis.
-//
-// The alternating loop itself now lives in the LrsdBackend of
-// cs/solver_backend.hpp (where it also serves as a first-class CORRECT
-// backend inside I(TS,CS)); this header keeps the standalone baseline API
-// used by eval/methods and the comparison experiments.
 #pragma once
 
 #include "cs/reconstruct.hpp"
@@ -56,8 +51,9 @@ struct LrsdResult {
 /// Run the alternating decomposition on one axis. `s` is the sensory
 /// matrix (0 where missing), `existence` the 0/1 observation mask. Throws
 /// mcs::Error on shape mismatches, invalid thresholds, or a non-kNone
-/// completion mode. A non-null `ctx` receives the "cs_reconstruct" phase
-/// time, a solves_lrsd tick, and per-round lrsd_rounds counts.
+/// completion mode. Each round is one cs_reconstruct call, so a non-null
+/// `ctx` receives one "cs_reconstruct" phase call and cs_solves tick per
+/// round.
 LrsdResult lrsd_decompose(const Matrix& s, const Matrix& existence,
                           double tau_s, const LrsdConfig& config = {},
                           PipelineContext* ctx = nullptr);

@@ -6,27 +6,14 @@
 // missing and detected-faulty cells.
 #pragma once
 
+#include <vector>
+
 #include "cs/asd.hpp"
 #include "linalg/svd.hpp"
 #include "cs/objective.hpp"
 #include "linalg/matrix.hpp"
 
 namespace mcs {
-
-/// Tuning of the LRSD solver backend's sparse-support loop (the inner
-/// low-rank completions are governed by the enclosing CsConfig). See
-/// cs/solver_backend.hpp for the backend itself.
-struct LrsdOptions {
-    /// Final residual threshold: |S − Ŝ| above ⇒ sparse error.
-    double residual_threshold_m = 1200.0;
-    /// The first completion is fault-poisoned, so the threshold anneals
-    /// from here towards `residual_threshold_m` by `threshold_decay` per
-    /// round (the usual RPCA-style shrinking schedule).
-    double initial_threshold_m = 6000.0;
-    double threshold_decay = 0.5;
-    /// Outer complete-then-reclassify rounds.
-    std::size_t max_rounds = 8;
-};
 
 /// Hyper-parameters of the modified CS reconstruction.
 struct CsConfig {
@@ -35,16 +22,6 @@ struct CsConfig {
     double lambda2 = 1.0;     ///< temporal/velocity weight λ₂
     TemporalMode mode = TemporalMode::kVelocity;
     AsdOptions asd;
-
-    /// Which SolverBackend serves the CORRECT step (DESIGN.md §14).
-    /// kAsd (the default) is bit-identical to the pre-seam pipeline.
-    /// kLrsd solves the plain low-rank + sparse objective of [18] /
-    /// arXiv:1509.03723 — its inner completions run with
-    /// TemporalMode::kNone by construction (the LS-decomposition model has
-    /// no temporal term), so `mode`/`lambda2` only apply under kAsd.
-    SolverKind solver = SolverKind::kAsd;
-    /// Sparse-loop tuning, read only when solver == kLrsd.
-    LrsdOptions lrsd;
 
     /// Subtract each row's trusted-cell mean before factorising and add it
     /// back afterwards. A vehicle's mean position dominates the spectrum
@@ -76,17 +53,11 @@ struct CsReconstruction {
     std::size_t asd_iterations = 0;
     double final_objective = 0.0;
     bool converged = false;
-
-    /// Backend that produced this reconstruction.
-    SolverKind solver = SolverKind::kAsd;
-    /// Backend outer rounds (LRSD complete+reclassify passes; 1 for ASD).
-    std::size_t solver_rounds = 1;
-    /// 0/1 support of the sparse-error component over observed cells —
-    /// the backend's own fault estimate, which Check() consumes directly
-    /// when present. Empty for backends without sparse-fault support
-    /// (ASD), in which case Check() falls back to its threshold rules.
-    Matrix sparse_faults;
 };
+
+/// Per-row mean of `s` over cells where `trusted` is non-zero (0 for rows
+/// with nothing trusted) — the centering of CsConfig::center_rows.
+std::vector<double> trusted_row_means(const Matrix& s, const Matrix& trusted);
 
 /// Algorithm 2. `s` is the sensory matrix for this axis, `gbim` the 0/1
 /// trust mask ℬ (Definition 7), `avg_velocity` the Eq. (11) matrix for the

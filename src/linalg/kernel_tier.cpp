@@ -1,7 +1,6 @@
 #include "linalg/kernel_tier.hpp"
 
 #include "linalg/kernels_fast.hpp"
-#include "linalg/kernels_mixed.hpp"
 
 namespace mcs {
 
@@ -30,8 +29,6 @@ const CpuFeatures& cpu_features() {
 }
 
 const char* fast_kernel_path() { return fastk::fast_kernels().path; }
-
-const char* mixed_kernel_path() { return mixedk::mixed_kernels().path; }
 
 KernelTier active_kernel_tier() { return t_active_tier; }
 

@@ -12,24 +12,16 @@
 //     The fast tier keeps a fixed, thread-count-independent reduction
 //     order (per destination element, the summation tree depends only on
 //     the operand shapes), so results are deterministic run-to-run and
-//     across --threads / RowExecutor block splits — but they are NOT
-//     bit-identical to the exact tier: FMA contraction and vector-lane
-//     partial sums round differently (≤1e-12 relative in practice).
-//   * KernelTier::kMixed — mixed-precision (DESIGN.md §18): the three
-//     data-sized products run in float32 (kernels_mixed.hpp; operands
-//     demoted once per call, twice the SIMD lanes), while the Gram
-//     formation, ridge, and Cholesky — and all element-wise ops — stay on
-//     the float64 fast path. Same determinism contract as kFast, but only
-//     ~1e-6 relative per kernel; FleetRunner arms a sampled exact-tier
-//     verification gate on top of any mixed-tier fleet run.
+//     across --threads — but they are NOT bit-identical to the exact
+//     tier: FMA contraction and vector-lane partial sums round
+//     differently (≤1e-12 relative in practice).
 //
 // The active tier is ambient, per-thread state: pipeline entry points
 // (FleetRunner shard workers, the CLI, benchmarks) install a
 // KernelTierScope and everything below — objective gradients, Gram
 // products, the randomized range-finder — dispatches through it. Being
 // thread-local, a scope installed on one FleetRunner worker never leaks
-// into another; the row-parallel seam is unaffected because each kernel
-// reads the tier once on the calling thread before fanning rows out.
+// into another.
 #pragma once
 
 #include <cstddef>
@@ -54,10 +46,6 @@ const CpuFeatures& cpu_features();
 /// "avx2+fma", "neon", or "scalar-blocked". Fixed for the process
 /// lifetime; the exact tier is always plain "scalar".
 const char* fast_kernel_path();
-
-/// Name of the mixed-tier float32 code path: "avx2+fma-f32" or
-/// "scalar-blocked-f32". Fixed for the process lifetime.
-const char* mixed_kernel_path();
 
 /// Ambient kernel tier of the calling thread (default kExact).
 KernelTier active_kernel_tier();

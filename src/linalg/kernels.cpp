@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "linalg/kernel_tier.hpp"
 #include "linalg/kernels_fast.hpp"
-#include "linalg/kernels_mixed.hpp"
 
 namespace mcs {
 
@@ -40,52 +39,9 @@ void add_gemm_flops(PipelineCounters* counters,
     }
 }
 
-RowExecutor* g_row_executor = nullptr;
-std::size_t g_row_block_threshold = kKernelRowBlockThreshold;
-
-// Run `body` over [0, rows): through the installed executor when the
-// destination is tall enough to amortise dispatch, serially otherwise.
-// Counters are never touched inside `body` — callers bump them once on
-// their own thread after the loop.
-void for_rows_maybe_parallel(
-    std::size_t rows,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-    RowExecutor* executor = g_row_executor;
-    if (executor == nullptr || rows < g_row_block_threshold) {
-        body(0, rows);
-        return;
-    }
-    executor->for_rows(rows, body);
-}
-
-// Tier of the calling thread, read once at kernel entry — the row-block
-// bodies below capture the already-made choice, so RowExecutor pool
-// threads (whose own thread-local tier is untouched) still run the tier
-// the caller selected.
-//
-// The mixed tier routes per kernel shape (DESIGN.md §18): the three
-// data-sized products (multiply, multiply_transposed, masked_residual)
-// take the float32 path, while transpose_multiply — the Gram formation
-// feeding ridge + Cholesky — and every element-wise op stay on the
-// float64 fast path. That is the "float32 data/factors, float64
-// Gram/Cholesky accumulation" split of mixed-precision ASD.
-bool use_fast_tier() { return active_kernel_tier() != KernelTier::kExact; }
-bool use_mixed_tier() { return active_kernel_tier() == KernelTier::kMixed; }
+bool use_fast_tier() { return active_kernel_tier() == KernelTier::kFast; }
 
 }  // namespace
-
-void set_kernel_row_executor(RowExecutor* executor) {
-    g_row_executor = executor;
-}
-
-RowExecutor* kernel_row_executor() { return g_row_executor; }
-
-std::size_t kernel_row_block_threshold() { return g_row_block_threshold; }
-
-void set_kernel_row_block_threshold(std::size_t threshold) {
-    g_row_block_threshold =
-        threshold == 0 ? kKernelRowBlockThreshold : threshold;
-}
 
 void copy_into(Matrix& dst, const Matrix& src) {
     check_shape(dst, src.rows(), src.cols(), "copy_into");
@@ -157,63 +113,30 @@ void multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.rows(), b.cols(), "multiply_into");
     check_not_aliased(dst, a, "multiply_into");
     check_not_aliased(dst, b, "multiply_into");
-    if (use_mixed_tier()) {
-        auto* mk = &mixedk::mixed_kernels();
-        auto& st = mixedk::mixed_staging();
-        const std::size_t m = a.rows();
-        const std::size_t kdim = a.cols();
-        const std::size_t n = b.cols();
-        st.a.resize(m * kdim);
-        st.b.resize(kdim * n);
-        st.out.resize(m * n);
-        mixedk::demote(a.data().data(), st.a.data(), st.a.size());
-        mixedk::demote(b.data().data(), st.b.data(), st.b.size());
-        float* out = st.out.data();
-        const float* pa = st.a.data();
-        const float* pb = st.b.data();
-        for_rows_maybe_parallel(m, [=](std::size_t lo, std::size_t hi) {
-            mk->multiply_rows(out, pa, pb, lo, hi, kdim, n);
-        });
-        mixedk::promote(st.out.data(), dst.data().data(), st.out.size());
-        add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows(),
-                       b.cols(), a.cols());
-        return;
-    }
     if (use_fast_tier()) {
-        auto* fk = &fastk::fast_kernels();
-        const std::size_t kdim = a.cols();
-        const std::size_t n = b.cols();
-        double* out = dst.data().data();
-        const double* pa = a.data().data();
-        const double* pb = b.data().data();
-        for_rows_maybe_parallel(
-            a.rows(), [=](std::size_t lo, std::size_t hi) {
-                fk->multiply_rows(out, pa, pb, lo, hi, kdim, n);
-            });
+        fastk::fast_kernels().multiply_rows(
+            dst.data().data(), a.data().data(), b.data().data(), 0,
+            a.rows(), a.cols(), b.cols());
         add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows(),
                        b.cols(), a.cols());
         return;
     }
-    // Same i-k-j order as ops.cpp multiply() so results match bit-for-bit;
-    // each dst row is produced by exactly one block, so the row-parallel
-    // path is bit-identical too.
-    for_rows_maybe_parallel(a.rows(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            auto out = dst.row(i);
-            for (double& v : out) {
-                v = 0.0;
+    // Same i-k-j order as ops.cpp multiply() so results match bit-for-bit.
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        auto out = dst.row(i);
+        for (double& v : out) {
+            v = 0.0;
+        }
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            if (aik == 0.0) {
+                continue;
             }
-            for (std::size_t k = 0; k < a.cols(); ++k) {
-                const double aik = a(i, k);
-                if (aik == 0.0) {
-                    continue;
-                }
-                for (std::size_t j = 0; j < b.cols(); ++j) {
-                    out[j] += aik * b(k, j);
-                }
+            for (std::size_t j = 0; j < b.cols(); ++j) {
+                out[j] += aik * b(k, j);
             }
         }
-    });
+    }
     add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows(),
                    b.cols(), a.cols());
 }
@@ -226,58 +149,26 @@ void multiply_transposed_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.rows(), b.rows(), "multiply_transposed_into");
     check_not_aliased(dst, a, "multiply_transposed_into");
     check_not_aliased(dst, b, "multiply_transposed_into");
-    if (use_mixed_tier()) {
-        auto* mk = &mixedk::mixed_kernels();
-        auto& st = mixedk::mixed_staging();
-        const std::size_t m = a.rows();
-        const std::size_t kdim = a.cols();
-        const std::size_t n = b.rows();
-        st.a.resize(m * kdim);
-        st.b.resize(n * kdim);
-        st.out.resize(m * n);
-        mixedk::demote(a.data().data(), st.a.data(), st.a.size());
-        mixedk::demote(b.data().data(), st.b.data(), st.b.size());
-        float* out = st.out.data();
-        const float* pa = st.a.data();
-        const float* pb = st.b.data();
-        for_rows_maybe_parallel(m, [=](std::size_t lo, std::size_t hi) {
-            mk->multiply_transposed_rows(out, pa, pb, lo, hi, n, kdim);
-        });
-        mixedk::promote(st.out.data(), dst.data().data(), st.out.size());
-        add_gemm_flops(counters,
-                       &PipelineCounters::flops_multiply_transposed, a.rows(),
-                       b.rows(), a.cols());
-        return;
-    }
     if (use_fast_tier()) {
-        auto* fk = &fastk::fast_kernels();
-        const std::size_t kdim = a.cols();
-        const std::size_t n = b.rows();
-        double* out = dst.data().data();
-        const double* pa = a.data().data();
-        const double* pb = b.data().data();
-        for_rows_maybe_parallel(
-            a.rows(), [=](std::size_t lo, std::size_t hi) {
-                fk->multiply_transposed_rows(out, pa, pb, lo, hi, n, kdim);
-            });
+        fastk::fast_kernels().multiply_transposed_rows(
+            dst.data().data(), a.data().data(), b.data().data(), 0,
+            a.rows(), b.rows(), a.cols());
         add_gemm_flops(counters,
                        &PipelineCounters::flops_multiply_transposed, a.rows(),
                        b.rows(), a.cols());
         return;
     }
-    for_rows_maybe_parallel(a.rows(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const auto ra = a.row(i);
-            for (std::size_t j = 0; j < b.rows(); ++j) {
-                const auto rb = b.row(j);
-                double acc = 0.0;
-                for (std::size_t k = 0; k < ra.size(); ++k) {
-                    acc += ra[k] * rb[k];
-                }
-                dst(i, j) = acc;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const auto ra = a.row(i);
+        for (std::size_t j = 0; j < b.rows(); ++j) {
+            const auto rb = b.row(j);
+            double acc = 0.0;
+            for (std::size_t k = 0; k < ra.size(); ++k) {
+                acc += ra[k] * rb[k];
             }
+            dst(i, j) = acc;
         }
-    });
+    }
     add_gemm_flops(counters, &PipelineCounters::flops_multiply_transposed,
                    a.rows(), b.rows(), a.cols());
 }
@@ -332,69 +223,30 @@ void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
     check_not_aliased(dst, r, "masked_residual_into");
     check_not_aliased(dst, mask, "masked_residual_into");
     check_not_aliased(dst, s, "masked_residual_into");
-    if (use_mixed_tier()) {
-        auto* mk = &mixedk::mixed_kernels();
-        auto& st = mixedk::mixed_staging();
-        const std::size_t m = mask.rows();
-        const std::size_t n = mask.cols();
-        const std::size_t rank = l.cols();
-        st.a.resize(m * rank);
-        st.b.resize(r.rows() * rank);
-        st.c.resize(m * n);
-        st.d.resize(m * n);
-        st.out.resize(m * n);
-        mixedk::demote(l.data().data(), st.a.data(), st.a.size());
-        mixedk::demote(r.data().data(), st.b.data(), st.b.size());
-        mixedk::demote(mask.data().data(), st.c.data(), st.c.size());
-        mixedk::demote(s.data().data(), st.d.data(), st.d.size());
-        float* out = st.out.data();
-        const float* pl = st.a.data();
-        const float* pr = st.b.data();
-        const float* pm = st.c.data();
-        const float* ps = st.d.data();
-        for_rows_maybe_parallel(m, [=](std::size_t lo, std::size_t hi) {
-            mk->masked_residual_rows(out, pl, pr, pm, ps, lo, hi, n, rank);
-        });
-        mixedk::promote(st.out.data(), dst.data().data(), st.out.size());
-        add_gemm_flops(counters, &PipelineCounters::flops_masked_residual,
-                       mask.rows(), mask.cols(), l.cols());
-        return;
-    }
     if (use_fast_tier()) {
-        auto* fk = &fastk::fast_kernels();
-        const std::size_t n = mask.cols();
-        const std::size_t rank = l.cols();
-        double* out = dst.data().data();
-        const double* pl = l.data().data();
-        const double* pr = r.data().data();
-        const double* pm = mask.data().data();
-        const double* ps = s.data().data();
-        for_rows_maybe_parallel(
-            mask.rows(), [=](std::size_t lo, std::size_t hi) {
-                fk->masked_residual_rows(out, pl, pr, pm, ps, lo, hi, n,
-                                         rank);
-            });
+        fastk::fast_kernels().masked_residual_rows(
+            dst.data().data(), l.data().data(), r.data().data(),
+            mask.data().data(), s.data().data(), 0, mask.rows(), mask.cols(),
+            l.cols());
         add_gemm_flops(counters, &PipelineCounters::flops_masked_residual,
                        mask.rows(), mask.cols(), l.cols());
         return;
     }
-    for_rows_maybe_parallel(mask.rows(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const auto li = l.row(i);
-            for (std::size_t j = 0; j < mask.cols(); ++j) {
-                if (mask(i, j) != 0.0) {
-                    const auto rj = r.row(j);
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < li.size(); ++k) {
-                        acc += li[k] * rj[k];
-                    }
-                    dst(i, j) = acc * mask(i, j) - s(i, j);
-                } else {
-                    dst(i, j) = -s(i, j);
+    for (std::size_t i = 0; i < mask.rows(); ++i) {
+        const auto li = l.row(i);
+        for (std::size_t j = 0; j < mask.cols(); ++j) {
+            if (mask(i, j) != 0.0) {
+                const auto rj = r.row(j);
+                double acc = 0.0;
+                for (std::size_t k = 0; k < li.size(); ++k) {
+                    acc += li[k] * rj[k];
                 }
+                dst(i, j) = acc * mask(i, j) - s(i, j);
+            } else {
+                dst(i, j) = -s(i, j);
             }
         }
-    });
+    }
     add_gemm_flops(counters, &PipelineCounters::flops_masked_residual,
                    mask.rows(), mask.cols(), l.cols());
 }

@@ -21,69 +21,20 @@
 //     (see linalg/kernel_tier.hpp) the GEMM-shaped kernels, hadamard_into
 //     and axpy dispatch to SIMD micro-kernels that agree to ≤1e-12
 //     relative and are deterministic run-to-run and across thread counts.
+//   * every kernel runs serially on the calling thread; FleetRunner's
+//     shard workers are the only parallelism.
 //
 // GEMM-shaped kernels take an optional PipelineCounters* and add 2·m·n·k
 // FLOPs per product, so instrumented pipelines can report arithmetic volume.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/context.hpp"
 #include "linalg/matrix.hpp"
 
 namespace mcs {
-
-// ---- Opt-in row-blocked kernel parallelism -----------------------------
-//
-// The linalg layer sits below the runtime subsystem, so it cannot own a
-// thread pool. Instead the GEMM-shaped kernels whose destination rows are
-// independent (multiply_into, multiply_transposed_into,
-// masked_residual_into) expose a seam: when a RowExecutor is installed,
-// the outer i-loop is split into disjoint row blocks and handed to it.
-// Every row is computed by exactly the serial loop's arithmetic — same
-// inner loop order, same term skipping — so results stay bit-identical to
-// the serial path regardless of how blocks are scheduled. Installed by
-// runtime::KernelParallelScope, gated by RuntimeConfig::kernel_threads.
-
-/// Executor for disjoint row blocks of a kernel's destination.
-class RowExecutor {
-public:
-    virtual ~RowExecutor() = default;
-
-    /// Invoke block(begin, end) over a disjoint cover of [0, rows), in any
-    /// order / concurrently; must not return before every block finished.
-    /// Implementations must run the blocks inline when already on a worker
-    /// thread (kernels cannot know their caller's nesting level).
-    virtual void for_rows(
-        std::size_t rows,
-        const std::function<void(std::size_t, std::size_t)>& block) = 0;
-};
-
-/// Install (nullptr: remove) the process-wide kernel row executor. The
-/// pointer is not owned. Installation is not synchronised — install/remove
-/// only while no kernels are running (startup, or the RAII scope in the
-/// runtime subsystem).
-void set_kernel_row_executor(RowExecutor* executor);
-
-/// Currently installed executor (nullptr = serial kernels).
-RowExecutor* kernel_row_executor();
-
-/// Destinations with fewer rows run serially even when an executor is
-/// installed: below this, block-dispatch overhead beats the arithmetic.
-/// Compile-time default; tune at runtime with
-/// set_kernel_row_block_threshold (RuntimeConfig::kernel_row_block_threshold).
-constexpr std::size_t kKernelRowBlockThreshold = 64;
-
-/// The threshold the kernels actually consult (defaults to
-/// kKernelRowBlockThreshold). Same non-synchronised install contract as
-/// set_kernel_row_executor: change it only while no kernels are running.
-std::size_t kernel_row_block_threshold();
-
-/// Set the runtime row-block threshold; 0 restores the compile-time
-/// default.
-void set_kernel_row_block_threshold(std::size_t threshold);
 
 /// dst = src (same shape).
 void copy_into(Matrix& dst, const Matrix& src);

@@ -4,18 +4,17 @@
 // fallback elsewhere).
 //
 // These operate on raw row-major buffers — the Matrix-level contracts
-// (shape checks, alias checks, FLOP counters, RowExecutor fan-out, tier
-// selection) all live in linalg/kernels.cpp, which is the only caller.
-// Row-range kernels compute destination rows [lo, hi); crucially, the
-// arithmetic performed for any single destination element depends only on
-// the operand shapes, never on the [lo, hi) grouping — that is the fast
-// tier's determinism contract (identical bits run-to-run and across
-// RowExecutor splits / --threads). Within one element the reduction uses
-// a fixed tree: 4 SIMD accumulators filled in ascending k, combined as
-// ((acc0+acc1)+(acc2+acc3)), horizontal-summed in fixed lane order, then
-// the scalar tail folded in ascending order. FMA contraction makes the
-// results differ from the exact tier's plain multiply-add loops by
-// rounding only (≤1e-12 relative; asserted in linalg_kernels_test).
+// (shape checks, alias checks, FLOP counters, tier selection) all live in
+// linalg/kernels.cpp, which is the only caller and runs each row-range
+// kernel once over [0, rows). The arithmetic performed for any single
+// destination element depends only on the operand shapes, never on the
+// [lo, hi) grouping — that is the fast tier's determinism contract
+// (identical bits run-to-run and across --threads). Within one element the
+// reduction uses a fixed tree: 4 SIMD accumulators filled in ascending k,
+// combined as ((acc0+acc1)+(acc2+acc3)), horizontal-summed in fixed lane
+// order, then the scalar tail folded in ascending order. FMA contraction
+// makes the results differ from the exact tier's plain multiply-add loops
+// by rounding only (≤1e-12 relative; asserted in linalg_kernels_test).
 #pragma once
 
 #include <cstddef>

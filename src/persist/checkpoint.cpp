@@ -56,10 +56,6 @@ void put_counters(ByteWriter& w, const PipelineCounters& c) {
     w.put_u64(c.svd_sweeps);
     w.put_u64(c.asd_iterations);
     w.put_u64(c.cs_solves);
-    w.put_u64(c.solves_asd);
-    w.put_u64(c.solves_lrsd);
-    w.put_u64(c.lrsd_rounds);
-    w.put_u64(c.sparse_fault_cells);
     w.put_u64(c.itscs_iterations);
     w.put_u64(c.detect_passes);
     w.put_u64(c.check_passes);
@@ -69,8 +65,6 @@ void put_counters(ByteWriter& w, const PipelineCounters& c) {
     w.put_u64(c.checkpoint_commits);
     w.put_u64(c.checkpoint_shards_resumed);
     w.put_u64(c.checkpoint_corrupt_frames);
-    w.put_u64(c.mixed_gate_checks);
-    w.put_u64(c.mixed_gate_trips);
     w.put_u64(c.shards_stolen);
     w.put_u64(c.slab_shards_streamed);
 }
@@ -87,10 +81,6 @@ PipelineCounters get_counters(ByteReader& r) {
     c.svd_sweeps = r.get_u64();
     c.asd_iterations = r.get_u64();
     c.cs_solves = r.get_u64();
-    c.solves_asd = r.get_u64();
-    c.solves_lrsd = r.get_u64();
-    c.lrsd_rounds = r.get_u64();
-    c.sparse_fault_cells = r.get_u64();
     c.itscs_iterations = r.get_u64();
     c.detect_passes = r.get_u64();
     c.check_passes = r.get_u64();
@@ -100,8 +90,6 @@ PipelineCounters get_counters(ByteReader& r) {
     c.checkpoint_commits = r.get_u64();
     c.checkpoint_shards_resumed = r.get_u64();
     c.checkpoint_corrupt_frames = r.get_u64();
-    c.mixed_gate_checks = r.get_u64();
-    c.mixed_gate_trips = r.get_u64();
     c.shards_stolen = r.get_u64();
     c.slab_shards_streamed = r.get_u64();
     return c;
@@ -251,7 +239,6 @@ Json CheckpointManifest::to_json() const {
     out["config_fingerprint"] = hex64(config_fingerprint);
     out["runtime_fingerprint"] = hex64(runtime_fingerprint);
     out["kernel_tier"] = std::string(to_string(kernel_tier));
-    out["solver_backend"] = std::string(to_string(solver));
     out["planner"] = planner;
     out["plan_fingerprint"] = hex64(plan_fingerprint);
     out["storage"] = storage;
@@ -292,18 +279,6 @@ std::string CheckpointManifest::mismatch(const Json& stored) const {
                     ? stored.at("kernel_tier").as_string()
                     : "<missing>") +
                ", this run " + expected.at("kernel_tier").as_string() + ")";
-    }
-    // Same reasoning for the solver backend: name both backends instead of
-    // surfacing a bare config_fingerprint mismatch.
-    if (!stored.contains("solver_backend") ||
-        stored.at("solver_backend").as_string() !=
-            expected.at("solver_backend").as_string()) {
-        return "solver backend differs (stored " +
-               (stored.contains("solver_backend")
-                    ? stored.at("solver_backend").as_string()
-                    : "<missing>") +
-               ", this run " + expected.at("solver_backend").as_string() +
-               ")";
     }
     // Planner / storage refusals likewise name the human-settable knob
     // before the fingerprints get their turn.

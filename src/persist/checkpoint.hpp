@@ -57,7 +57,10 @@ class Json;
 /// live in the slab store, the journal holds their CRC); planner,
 /// plan_fingerprint and slab storage/geometry in the manifest, so a
 /// resume refuses a changed planner, storage tier or slab layout.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// v5: the per-backend solver counters and the mixed-tier gate counters
+/// left PipelineCounters (six fewer u64s per record), and solver_backend
+/// left the manifest, with the LRSD backend and the mixed kernel tier.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// One journal record: everything FleetRunner needs to stitch a completed
 /// shard into the fleet result without re-running it.
@@ -116,13 +119,6 @@ struct CheckpointManifest {
     /// runtime_fingerprint; stored explicitly so a tier mix-up refuses
     /// with a message naming the tier rather than a bare hash mismatch.
     KernelTier kernel_tier = KernelTier::kExact;
-    /// The recovery-solver backend the run executed under. Folded into
-    /// config_fingerprint (via CsConfig::solver) but stored explicitly,
-    /// like kernel_tier, so a resume across backends refuses with a
-    /// message naming both backends — resuming an ASD journal under LRSD
-    /// (or vice versa) would stitch shards solved by different algorithms
-    /// into one result.
-    SolverKind solver = SolverKind::kAsd;
     /// Planner mode behind the plan ("rows" / "cell") and the plan's
     /// member-level fingerprint (ShardPlan::fingerprint()) — begin/end
     /// ranges alone cannot identify a by_cell decomposition.

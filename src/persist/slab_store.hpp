@@ -49,8 +49,8 @@
 namespace mcs {
 
 /// Element representation inside slabs.bin. Solves always run on doubles
-/// (possibly through the mixed kernel tier); the tier decides what the
-/// *disk* holds.
+/// under either kernel tier; the storage tier decides what the *disk*
+/// holds.
 enum class StorageTier : std::uint32_t {
     kF64 = 0,  ///< 8-byte elements, bit-exact round trip
     kF32 = 1,  ///< 4-byte elements, one deterministic rounding per write

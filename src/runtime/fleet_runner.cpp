@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -18,7 +17,6 @@
 #include "linalg/kernel_tier.hpp"
 #include "linalg/temporal.hpp"
 #include "persist/checkpoint.hpp"
-#include "runtime/kernel_parallel.hpp"
 
 namespace mcs {
 
@@ -37,8 +35,8 @@ std::size_t resolve_threads(std::size_t requested) {
 // The runtime-knob half of the checkpoint resume handshake (the other two
 // fingerprints — input bytes and ItscsConfig — live in core). Covers every
 // RuntimeConfig field that can change the merged numerics or the failure
-// record. Deliberately excluded: threads / kernel_threads (never affect
-// results), shard_size / shard_count / remainder (the manifest stores the
+// record. Deliberately excluded: threads (never affects results),
+// shard_size / shard_count / remainder (the manifest stores the
 // *resolved* plan row ranges, which is the stronger check), checkpoint_dir
 // and resume themselves, health.deadline_seconds (wall-clock and therefore
 // machine-dependent; a deadline trip is already recorded in the journaled
@@ -49,15 +47,8 @@ std::uint64_t runtime_fingerprint(const RuntimeConfig& config) {
     h.mix_u64(config.seed);
     h.mix_u64(config.guard ? 1 : 0);
     // kernel_tier changes the numerics and is *also* stored as an explicit
-    // manifest field (clearer refusal message than a fingerprint mismatch);
-    // kernel_row_block_threshold is scheduling-only and excluded.
+    // manifest field (clearer refusal message than a fingerprint mismatch).
     h.mix_u64(static_cast<std::uint64_t>(config.kernel_tier));
-    if (config.kernel_tier == KernelTier::kMixed) {
-        // The gate can swap a shard's result for the exact tier's, so its
-        // sampling cadence and tolerance are part of the numerics.
-        h.mix_u64(config.mixed_verify_every);
-        h.mix_f64(config.mixed_verify_tolerance);
-    }
     h.mix_u64(config.health.divergence_patience);
     h.mix_f64(config.health.divergence_slack);
     if (config.chaos != nullptr && !config.chaos->config().idle()) {
@@ -142,26 +133,6 @@ std::size_t sanitize_non_finite(ItscsInput& in) {
     }
     return cleared;
 }
-
-// RAII application of RuntimeConfig::kernel_row_block_threshold for the
-// duration of a run (0 = leave the process default untouched). The knob is
-// a process global with the same install contract as the row executor, so
-// the scope lives where the executor scope does: around the whole run.
-class RowBlockThresholdScope {
-public:
-    explicit RowBlockThresholdScope(std::size_t threshold)
-        : previous_(kernel_row_block_threshold()) {
-        if (threshold != 0) {
-            set_kernel_row_block_threshold(threshold);
-        }
-    }
-    ~RowBlockThresholdScope() { set_kernel_row_block_threshold(previous_); }
-    RowBlockThresholdScope(const RowBlockThresholdScope&) = delete;
-    RowBlockThresholdScope& operator=(const RowBlockThresholdScope&) = delete;
-
-private:
-    std::size_t previous_;
-};
 
 // Copy the shard's member rows of `src` into the shard-sized `dst` —
 // contiguous [begin, end) for row plans, the explicit member list for
@@ -383,68 +354,6 @@ void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
     report.iterations = result.iterations;
     report.converged =
         level == DegradationLevel::kNominal && result.converged;
-}
-
-// Relative Frobenius deviation of `got` from the `want` reference.
-double relative_deviation(const Matrix& got, const Matrix& want) {
-    double num = 0.0;
-    double den = 0.0;
-    const auto g = got.data();
-    const auto w = want.data();
-    for (std::size_t k = 0; k < w.size(); ++k) {
-        const double d = g[k] - w[k];
-        num += d * d;
-        den += w[k] * w[k];
-    }
-    if (den == 0.0) {
-        return num == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-    }
-    return std::sqrt(num / den);
-}
-
-// The mixed tier's verification gate (RuntimeConfig::mixed_verify_every):
-// re-solve the sampled shard at the exact tier from a FRESH context
-// seeded with the shard's own seed — the shard context's RNG has already
-// advanced through the mixed solve, and the gate's promise is that an
-// adopted exact result is bit-identical to what a pure exact run would
-// have produced. The exact context's instrumentation is absorbed into the
-// shard context either way (the work was done).
-void verify_mixed_shard(const RuntimeConfig& rcfg, const ItscsConfig& config,
-                        std::size_t s, std::uint64_t seed,
-                        const ItscsInput& si,
-                        const ItscsWarmStart* warm_seed,
-                        PipelineContext& sctx, ShardRunReport& report,
-                        ItscsResult& result) {
-    if (rcfg.kernel_tier != KernelTier::kMixed ||
-        rcfg.mixed_verify_every == 0 || s % rcfg.mixed_verify_every != 0 ||
-        report.level != DegradationLevel::kNominal) {
-        return;
-    }
-    sctx.counters().mixed_gate_checks += 1;
-    PipelineContext vctx(seed);
-    vctx.set_kernel_tier(KernelTier::kExact);
-    vctx.set_solver_backend(config.cs.solver);
-    ItscsResult exact;
-    try {
-        KernelTierScope exact_scope(KernelTier::kExact);
-        exact = run_itscs(si, config, {}, &vctx, warm_seed);
-    } catch (const std::exception&) {
-        // The exact reference itself failed — nothing to compare against;
-        // the mixed result stands (the ladder already vetted it).
-        return;
-    }
-    sctx.absorb(vctx.counters(), vctx.phase_stats());
-    const double deviation =
-        std::max(relative_deviation(result.reconstructed_x,
-                                    exact.reconstructed_x),
-                 relative_deviation(result.reconstructed_y,
-                                    exact.reconstructed_y));
-    if (deviation > rcfg.mixed_verify_tolerance) {
-        sctx.counters().mixed_gate_trips += 1;
-        report.iterations = exact.iterations;
-        report.converged = exact.converged;
-        result = std::move(exact);
-    }
 }
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -669,8 +578,8 @@ private:
 };
 
 // The shard loop behind run() and run_streamed(): per-shard seeds and
-// contexts, the checkpoint handshake and journal restore, the ladder and
-// the mixed-tier gate, the commit and its crash seam, the work-stealing
+// contexts, the checkpoint handshake and journal restore, the ladder, the
+// commit and its crash seam, the work-stealing
 // dispatch, and the merge in shard order. `journaled` gates the durable
 // journal: only the *final* solve of a defended run checkpoints (the
 // intermediate honest solve is recomputed on resume — it is deterministic,
@@ -695,11 +604,9 @@ void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
     contexts.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
         contexts.emplace_back(seeds[s]);
-        // Stamp the configured tier and backend up front so even shards
-        // that never run (restored from a checkpoint) report what the run
-        // used.
+        // Stamp the configured tier up front so even shards that never
+        // run (restored from a checkpoint) report what the run used.
         contexts.back().set_kernel_tier(rcfg.kernel_tier);
-        contexts.back().set_solver_backend(config.cs.solver);
     }
 
     out.shards.resize(count);
@@ -718,7 +625,6 @@ void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
         manifest.config_fingerprint = config_fingerprint(config);
         manifest.runtime_fingerprint = runtime_fingerprint(rcfg);
         manifest.kernel_tier = rcfg.kernel_tier;
-        manifest.solver = config.cs.solver;
         for (const Shard& shard : shards) {
             manifest.shards.emplace_back(shard.begin, shard.end);
             manifest.shard_members.push_back(shard.members_fingerprint());
@@ -801,15 +707,9 @@ void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
         cp.shards_run = pending.size();
     }
 
-    // Opt-in row-blocked kernel parallelism for the duration of the run;
-    // dormant underneath shard workers (they run kernels inline).
-    KernelParallelScope kernel_scope(rcfg.kernel_threads);
-    RowBlockThresholdScope threshold_scope(rcfg.kernel_row_block_threshold);
-
     auto run_shard = [&](std::size_t s, std::size_t next) {
         // The tier is thread-local ambient state, so each worker installs
-        // it per shard — kernels read it once at entry on this thread
-        // before fanning rows out to any RowExecutor.
+        // it per shard.
         KernelTierScope tier_scope(rcfg.kernel_tier);
         const Shard& shard = shards[s];
         const std::size_t rows = shard.size();
@@ -833,8 +733,6 @@ void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
         ItscsResult result;
         run_shard_ladder(rcfg, config, s, si, contexts[s], warm_seed, report,
                          result);
-        verify_mixed_shard(rcfg, config, s, seeds[s], si, warm_seed,
-                           contexts[s], report, result);
         io.write(s, report, result, contexts[s]);
 
         if (store != nullptr) {

@@ -53,8 +53,7 @@ namespace mcs {
 
 class ChaosInjector;
 
-/// Knobs of the runtime subsystem (CLI: --threads / --shard-size /
-/// --kernel-threads).
+/// Knobs of the runtime subsystem (CLI: --threads / --shard-size / --tier).
 struct RuntimeConfig {
     /// Shard worker threads. 0 = effective CPUs (the sched_getaffinity
     /// mask via common/topology.hpp — not hardware_concurrency, which
@@ -84,11 +83,6 @@ struct RuntimeConfig {
     /// checkpoint manifest and refused on resume mismatch.
     PlannerMode planner = PlannerMode::kRows;
 
-    /// Row-blocked kernel parallelism (KernelParallelScope) during run():
-    /// <= 1 is off. Pays off on the sequential path (threads == 1) with
-    /// tall shards; shard workers always run their kernels inline.
-    std::size_t kernel_threads = 1;
-
     /// Numerical kernel tier for every shard (CLI: --tier). kExact (the
     /// default) keeps the bit-identical scalar loops; kFast dispatches the
     /// GEMM-shaped kernels to SIMD micro-kernels (see
@@ -96,24 +90,9 @@ struct RuntimeConfig {
     /// the checkpoint handshake: a --resume never mixes tiers.
     KernelTier kernel_tier = KernelTier::kExact;
 
-    /// Mixed-tier verification gate (kernel_tier == kMixed only): every
-    /// `mixed_verify_every`-th shard by shard index (0 = gate off) whose
-    /// nominal solve succeeded is re-solved at the exact tier, from a
-    /// fresh context seeded with the shard's own seed, and the two
-    /// reconstructions compared. A relative (Frobenius) deviation beyond
-    /// mixed_verify_tolerance trips the gate: the shard adopts the exact
-    /// result — bit-identical to what a pure exact run computes — and the
-    /// trip is counted (PipelineCounters::mixed_gate_trips). The sample
-    /// set depends on shard index alone, so gated runs stay deterministic
-    /// at any thread count. This is the kMixed analogue of the fast
-    /// tier's ≤1e-12 kernel contract: f32 staging cannot promise 1e-12,
-    /// so the contract moves from per-kernel to per-shard-result.
-    std::size_t mixed_verify_every = 8;
-    double mixed_verify_tolerance = 1e-3;
-
     /// Element representation of the out-of-core slab store
-    /// (create_slab_store; CLI: --storage). kF32 halves slab bytes; pair
-    /// it with kernel_tier == kMixed for the full mixed-precision path.
+    /// (create_slab_store; CLI: --storage). kF32 halves slab bytes and
+    /// runs under either kernel tier (staged shards are always f64).
     /// Part of the numerics (one rounding per ingested element), named in
     /// the checkpoint manifest and refused on resume mismatch.
     StorageTier storage = StorageTier::kF64;
@@ -123,12 +102,6 @@ struct RuntimeConfig {
     /// smaller than its minimum window (roughly two slabs plus the f64
     /// staging arena per worker) instead of quietly thrashing.
     std::size_t memory_budget_mb = 0;
-
-    /// Runtime override of the kernel row-block threshold (CLI:
-    /// --row-block-threshold); 0 keeps kKernelRowBlockThreshold. Pure
-    /// scheduling — never affects results — so it is excluded from the
-    /// checkpoint fingerprint, like `threads`.
-    std::size_t kernel_row_block_threshold = 0;
 
     /// Root seed; shard i's PipelineContext is seeded with the i-th draw
     /// of Rng(seed), independent of thread count.

@@ -3,9 +3,8 @@
 // A fixed set of worker threads drains a bounded MPMC task queue. The pool
 // is deliberately simple (mutex + two condition variables, no lock-free
 // tricks): every workload in this repo is coarse-grained — one task is a
-// whole per-shard I(TS,CS) run or a block of GEMM rows — so queue overhead
-// is noise next to task cost, and a boring queue is easy to prove correct
-// under TSan.
+// whole per-shard I(TS,CS) run — so queue overhead is noise next to task
+// cost, and a boring queue is easy to prove correct under TSan.
 //
 // Contracts:
 //   * submit() blocks while the queue is at capacity (bounded — a runaway
@@ -95,8 +94,7 @@ public:
                           body);
 
     /// True on any ThreadPool worker thread (any pool in the process) —
-    /// the guard behind nested-parallel_for rejection and the serial
-    /// fallback of the kernel row executor.
+    /// the guard behind nested-parallel_for rejection.
     static bool on_worker_thread();
 
     /// Index of the current worker within its pool (0-based); SIZE_MAX on

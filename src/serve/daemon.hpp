@@ -44,7 +44,7 @@ struct ServeConfig {
     std::size_t window = 60;       ///< slots per evaluation window
     std::size_t stride = 20;       ///< slots between evaluations
     ItscsConfig framework;
-    /// Shard/thread/tier/solver knobs for the per-window fleet runs. The
+    /// Shard/thread/tier knobs for the per-window fleet runs. The
     /// chaos injector doubles as the slotloss source; checkpoint_dir must
     /// stay empty (the ingest journal is the daemon's durable state).
     RuntimeConfig runtime;

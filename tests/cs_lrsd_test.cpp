@@ -47,23 +47,56 @@ TEST(Lrsd, RecoversSparseOutliersOnLowRankData) {
     EXPECT_TRUE(result.converged);
 }
 
-TEST(Lrsd, HandlesMissingValues) {
-    const TraceDataset truth = make_small_dataset(2, 20, 80);
+CorruptedDataset corrupted_fleet(std::uint64_t seed, std::size_t n,
+                                 double missing, std::uint64_t corrupt_seed) {
     CorruptionConfig corruption;
-    corruption.missing_ratio = 0.3;
+    corruption.missing_ratio = missing;
     corruption.fault_ratio = 0.1;
-    const CorruptedDataset data = corrupt(truth, corruption);
-    const LrsdResult result =
-        lrsd_decompose(data.sx, data.existence, data.tau_s, LrsdConfig{});
-    // No outlier may be declared on a missing cell.
-    for (std::size_t i = 0; i < 20; ++i) {
-        for (std::size_t j = 0; j < 80; ++j) {
-            if (data.existence(i, j) == 0.0) {
-                EXPECT_DOUBLE_EQ(result.outliers(i, j), 0.0);
+    corruption.seed = corrupt_seed;
+    return corrupt(make_small_dataset(seed, n, 80), corruption);
+}
+
+TEST(Lrsd, HandlesMissingValues) {
+    for (const CorruptedDataset& data :
+         {corrupted_fleet(2, 20, 0.3, CorruptionConfig{}.seed),
+          corrupted_fleet(3, 24, 0.2, 4)}) {
+        const LrsdResult result = lrsd_decompose(data.sx, data.existence,
+                                                 data.tau_s, LrsdConfig{});
+        // No outlier may be declared on a missing cell.
+        for (std::size_t i = 0; i < data.existence.rows(); ++i) {
+            for (std::size_t j = 0; j < data.existence.cols(); ++j) {
+                if (data.existence(i, j) == 0.0) {
+                    EXPECT_DOUBLE_EQ(result.outliers(i, j), 0.0);
+                }
             }
         }
+        EXPECT_GE(result.iterations, 2u);
     }
-    EXPECT_GE(result.iterations, 2u);
+}
+
+TEST(Lrsd, ReusesFactorsAcrossItsOwnRounds) {
+    // Round 1 pays the nearest-fill SVD; later rounds warm-start from the
+    // previous round's factors. The "warm_start" phase therefore runs
+    // exactly once however many complete+reclassify rounds execute, while
+    // every round is one cs_reconstruct call.
+    const CorruptedDataset data = corrupted_fleet(5, 24, 0.2, 6);
+    PipelineContext ctx;
+    const LrsdResult result = lrsd_decompose(
+        data.sx, data.existence, data.tau_s, LrsdConfig{}, &ctx);
+    ASSERT_GE(result.iterations, 2u);
+
+    std::size_t warm_start_calls = 0;
+    std::size_t solve_calls = 0;
+    for (const PhaseStat& phase : ctx.phase_stats()) {
+        if (phase.name == "warm_start") {
+            warm_start_calls = phase.calls;
+        } else if (phase.name == "cs_reconstruct") {
+            solve_calls = phase.calls;
+        }
+    }
+    EXPECT_EQ(warm_start_calls, 1u);
+    EXPECT_EQ(solve_calls, result.iterations);
+    EXPECT_EQ(ctx.counters().cs_solves, result.iterations);
 }
 
 TEST(Lrsd, DetectsMostInjectedFaults) {
@@ -111,6 +144,22 @@ TEST(Lrsd, Validation) {
     config = LrsdConfig{};
     config.max_iterations = 0;
     EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    config = LrsdConfig{};
+    config.initial_threshold_m = 100.0;  // below the final threshold
+    EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    for (const double decay : {0.0, 1.5}) {  // outside (0, 1]
+        config = LrsdConfig{};
+        config.threshold_decay = decay;
+        EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    }
+    // The LS-decomposition model of [18] has no temporal term: a temporal
+    // completion mode is refused, not silently overwritten.
+    for (const TemporalMode mode :
+         {TemporalMode::kVelocity, TemporalMode::kTemporalOnly}) {
+        config = LrsdConfig{};
+        config.completion.mode = mode;
+        EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    }
     EXPECT_THROW(lrsd_decompose(s, Matrix(3, 10), 30.0, LrsdConfig{}),
                  Error);
 }

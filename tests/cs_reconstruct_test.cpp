@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -22,10 +23,12 @@ struct ReconstructionCase {
     Matrix avg_vx;
 };
 
-ReconstructionCase make_case(double alpha, std::uint64_t seed) {
+ReconstructionCase make_case(double alpha, std::uint64_t seed,
+                             double beta = 0.0) {
     ReconstructionCase c{make_small_dataset(seed, 24, 80), {}, {}};
     CorruptionConfig config;
     config.missing_ratio = alpha;
+    config.fault_ratio = beta;
     config.seed = seed + 1;
     c.data = corrupt(c.truth, config);
     c.avg_vx = average_velocity(c.data.vx);
@@ -103,6 +106,48 @@ TEST(CsReconstruct, WarmStartReusesFactors) {
     EXPECT_TRUE(approx_equal(second.estimate, first.estimate, 50.0));
 }
 
+TEST(CsReconstruct, WarmFactorsSpeedUpFrameworkStyleIteration) {
+    // The framework loop re-solves CORRECT each iteration with a slightly
+    // changed trust mask, feeding the previous CsReconstruction::factors
+    // back in. Simulate one such step: distrust a handful of cells, then
+    // solve cold vs. warm. Warm must take materially fewer ASD iterations
+    // and land on the same reconstruction.
+    auto c = make_case(0.2, 4, 0.1);
+    CsConfig config;
+    const CsReconstruction first = cs_reconstruct(
+        c.data.sx, c.data.existence, c.avg_vx, c.truth.tau_s, config);
+
+    // Next framework iteration's ℬ: a few observed cells newly distrusted.
+    Matrix gbim = c.data.existence;
+    std::size_t flipped = 0;
+    for (std::size_t i = 0; i < gbim.rows() && flipped < 12; ++i) {
+        for (std::size_t j = 0; j < gbim.cols() && flipped < 12; j += 17) {
+            if (gbim(i, j) == 1.0) {
+                gbim(i, j) = 0.0;
+                ++flipped;
+            }
+        }
+    }
+    ASSERT_EQ(flipped, 12u);
+
+    const CsReconstruction cold = cs_reconstruct(
+        c.data.sx, gbim, c.avg_vx, c.truth.tau_s, config);
+    const CsReconstruction warm =
+        cs_reconstruct(c.data.sx, gbim, c.avg_vx, c.truth.tau_s, config,
+                       &first.factors);
+
+    EXPECT_LT(warm.asd_iterations, cold.asd_iterations);
+    // ASD is non-convex, so warm and cold may settle in slightly different
+    // spots of the same basin; what must not change is the downstream
+    // metric: the missing-cell MAE against truth.
+    const double cold_mae =
+        mae_on_missing(cold.estimate, c.truth.x, c.data.existence);
+    const double warm_mae =
+        mae_on_missing(warm.estimate, c.truth.x, c.data.existence);
+    EXPECT_LT(std::abs(warm_mae - cold_mae),
+              std::max(25.0, 0.05 * cold_mae));
+}
+
 TEST(CsReconstruct, MismatchedWarmStartIgnored) {
     auto c = make_case(0.2, 4);
     CsConfig config;
@@ -125,6 +170,14 @@ TEST(CsReconstruct, RankValidation) {
     config.rank = 1000;  // > min(n, t)
     EXPECT_THROW(cs_reconstruct(c.data.sx, c.data.existence, c.avg_vx,
                                 c.truth.tau_s, config),
+                 Error);
+    // The velocity matrix is required under TemporalMode::kVelocity, and
+    // S and ℬ must share a shape.
+    EXPECT_THROW(cs_reconstruct(c.data.sx, c.data.existence, Matrix(),
+                                c.truth.tau_s, CsConfig{}),
+                 Error);
+    EXPECT_THROW(cs_reconstruct(c.data.sx, Matrix(3, 80), c.avg_vx,
+                                c.truth.tau_s, CsConfig{}),
                  Error);
 }
 

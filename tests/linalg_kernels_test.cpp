@@ -258,8 +258,7 @@ TEST(AsdWorkspace, InstrumentationDoesNotChangeResults) {
 // ---- Kernel tiers (DESIGN.md §13) --------------------------------------
 //
 // The fast tier's contract: agreement with the exact tier to <= 1e-12
-// relative, bitwise determinism run-to-run, and independence from how the
-// RowExecutor happens to split the destination rows. Shapes below are
+// relative and bitwise determinism run-to-run. Shapes below are
 // deliberately not multiples of the SIMD widths so every tail path runs.
 
 double max_rel_dev(const Matrix& exact, const Matrix& fast) {
@@ -346,110 +345,6 @@ TEST(KernelTiers, FastTierIsDeterministicAcrossRuns) {
     EXPECT_TRUE(first.t_mul == second.t_mul);
     EXPECT_TRUE(first.masked == second.masked);
     EXPECT_TRUE(first.had == second.had);
-}
-
-// A deliberately lopsided row cover: [0,1) ∪ [1,cut) ∪ [cut,rows). If any
-// fast kernel's per-element reduction depended on its [lo,hi) grouping,
-// this split would change the bits relative to the serial pass.
-class LopsidedExecutor : public RowExecutor {
-public:
-    void for_rows(std::size_t rows,
-                  const std::function<void(std::size_t, std::size_t)>& block)
-        override {
-        const std::size_t cut = std::max<std::size_t>(1, rows / 3);
-        if (rows == 0) {
-            return;
-        }
-        block(0, std::min<std::size_t>(1, rows));
-        if (cut > 1) {
-            block(1, cut);
-        }
-        if (rows > cut) {
-            block(cut, rows);
-        }
-    }
-};
-
-TEST(KernelTiers, FastTierIndependentOfRowBlocking) {
-    const TierFixture f;
-    KernelTierScope tier(KernelTier::kFast);
-    const TierFixture::Results serial = f.run_all();
-
-    LopsidedExecutor executor;
-    set_kernel_row_executor(&executor);
-    set_kernel_row_block_threshold(1);  // dispatch even tiny destinations
-    const TierFixture::Results split = f.run_all();
-    set_kernel_row_executor(nullptr);
-    set_kernel_row_block_threshold(0);
-
-    EXPECT_TRUE(serial.mul == split.mul);
-    EXPECT_TRUE(serial.mul_t == split.mul_t);
-    EXPECT_TRUE(serial.masked == split.masked);
-}
-
-// The mixed tier's contract (DESIGN.md §18): the three data-sized
-// products run in float32 and agree with exact to <= 1e-4 relative (f32
-// rounding, not f64's 1e-12) while the Gram formation and every
-// element-wise op stay on the float64 fast path and keep the 1e-12 bound.
-TEST(KernelTiers, MixedAgreesWithExactWithinF32Tolerance) {
-    const TierFixture f;
-    TierFixture::Results exact;
-    {
-        KernelTierScope tier(KernelTier::kExact);
-        exact = f.run_all();
-    }
-    TierFixture::Results mixed;
-    {
-        KernelTierScope tier(KernelTier::kMixed);
-        mixed = f.run_all();
-    }
-    // float32-routed kernels: f32 precision, and genuinely f32 (a 1e-12
-    // match would mean the mixed dispatch silently fell back to f64).
-    EXPECT_LE(max_rel_dev(exact.mul, mixed.mul), 1e-4);
-    EXPECT_LE(max_rel_dev(exact.mul_t, mixed.mul_t), 1e-4);
-    EXPECT_LE(max_rel_dev(exact.masked, mixed.masked), 1e-4);
-    EXPECT_GT(max_rel_dev(exact.mul, mixed.mul), 0.0);
-    // float64-kept kernels: Gram/Cholesky inputs and element-wise ops.
-    EXPECT_LE(max_rel_dev(exact.t_mul, mixed.t_mul), 1e-12);
-    EXPECT_LE(max_rel_dev(exact.had, mixed.had), 1e-12);
-    EXPECT_LE(max_rel_dev(exact.sub, mixed.sub), 1e-12);
-    EXPECT_LE(max_rel_dev(exact.ax, mixed.ax), 1e-12);
-}
-
-TEST(KernelTiers, MixedTierIsDeterministicAcrossRuns) {
-    const TierFixture f;
-    KernelTierScope tier(KernelTier::kMixed);
-    const TierFixture::Results first = f.run_all();
-    const TierFixture::Results second = f.run_all();
-    EXPECT_TRUE(first.mul == second.mul);
-    EXPECT_TRUE(first.mul_t == second.mul_t);
-    EXPECT_TRUE(first.masked == second.masked);
-    EXPECT_TRUE(first.t_mul == second.t_mul);
-}
-
-TEST(KernelTiers, MixedTierIndependentOfRowBlocking) {
-    const TierFixture f;
-    KernelTierScope tier(KernelTier::kMixed);
-    const TierFixture::Results serial = f.run_all();
-
-    LopsidedExecutor executor;
-    set_kernel_row_executor(&executor);
-    set_kernel_row_block_threshold(1);
-    const TierFixture::Results split = f.run_all();
-    set_kernel_row_executor(nullptr);
-    set_kernel_row_block_threshold(0);
-
-    EXPECT_TRUE(serial.mul == split.mul);
-    EXPECT_TRUE(serial.mul_t == split.mul_t);
-    EXPECT_TRUE(serial.masked == split.masked);
-}
-
-TEST(KernelTiers, RowBlockThresholdOverrideAndRestore) {
-    EXPECT_EQ(kernel_row_block_threshold(), kKernelRowBlockThreshold);
-    set_kernel_row_block_threshold(7);
-    EXPECT_EQ(kernel_row_block_threshold(), 7u);
-    set_kernel_row_block_threshold(0);  // 0 restores the compile-time value
-    EXPECT_EQ(kernel_row_block_threshold(), kKernelRowBlockThreshold);
 }
 
 TEST(KernelTiers, ScopeRestoresPreviousTier) {

@@ -177,42 +177,6 @@ TEST(ChaosFleet, EveryFaultKindAtOnceStillEndsFinite) {
     run_chaos_fleet(&chaos);
 }
 
-TEST(ChaosFleet, LrsdBackendUnderChaosEndsFinite) {
-    // The guard layer and degradation ladder are backend-agnostic
-    // (DESIGN.md §14): the LRSD backend under a full fault mix must end
-    // finite with the same per-shard reporting invariants as ASD.
-    ChaosConfig config;
-    config.nan_velocity = 0.6;
-    config.inf_coordinate = 0.6;
-    config.force_divergence = 0.6;
-    config.task_throw = 0.6;
-    config.seed = 77;
-    const ChaosInjector chaos(config);
-
-    const ItscsInput input = fleet_input(24, 40);
-    RuntimeConfig runtime;
-    runtime.threads = 2;
-    runtime.shard_size = 8;
-    runtime.chaos = &chaos;
-    ItscsConfig lrsd;
-    lrsd.cs.solver = SolverKind::kLrsd;
-    FleetRunner runner(runtime);
-    PipelineContext ctx(1);
-    const FleetResult fleet = runner.run(input, lrsd, &ctx);
-
-    EXPECT_TRUE(all_finite(fleet.aggregate.detection));
-    EXPECT_TRUE(all_finite(fleet.aggregate.reconstructed_x));
-    EXPECT_TRUE(all_finite(fleet.aggregate.reconstructed_y));
-    EXPECT_EQ(fleet.shards.size(), 3u);
-    EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);
-    for (const ShardRunReport& report : fleet.shards) {
-        if (report.level != DegradationLevel::kNominal) {
-            EXPECT_FALSE(report.failures.empty());
-            EXPECT_EQ(report.attempts, report.failures.size() + 1);
-        }
-    }
-}
-
 // ---- Guard overhead must be observation-only ---------------------------
 
 TEST(ChaosFleet, GuardsOnZeroFaultIsBitIdenticalToGuardsOff) {

@@ -371,23 +371,25 @@ TEST(RuntimeCheckpointTest, MismatchedKernelTierRefusesToResume) {
     }
 }
 
-TEST(RuntimeCheckpointTest, MismatchedSolverBackendRefusesToResume) {
+TEST(RuntimeCheckpointTest, MismatchedVersionRefusesToResume) {
+    // A store written in the previous checkpoint layout is refused by the
+    // manifest handshake, before any journal record is decoded.
     const ItscsInput input = fleet_input();
     CheckpointDir dir;
     {
-        FleetRunner first(runtime_config(2, dir.path()));  // ASD default
+        FleetRunner first(runtime_config(2, dir.path()));
         first.run(input, ItscsConfig{});
     }
-    // Shards solved by different backends must never be stitched into one
-    // result; the refusal names both backends, not just a hash.
-    ItscsConfig lrsd;
-    lrsd.cs.solver = SolverKind::kLrsd;
+    Json manifest = read_json_file(dir.manifest());
+    manifest["version"] = static_cast<double>(kCheckpointVersion - 1);
+    write_json_file(dir.manifest(), manifest);
+
     FleetRunner second(runtime_config(2, dir.path(), /*resume=*/true));
     try {
-        second.run(input, lrsd);
-        FAIL() << "expected the solver mismatch to throw";
+        second.run(input, ItscsConfig{});
+        FAIL() << "expected the version mismatch to throw";
     } catch (const Error& error) {
-        EXPECT_NE(std::string(error.what()).find("solver backend"),
+        EXPECT_NE(std::string(error.what()).find("version differs"),
                   std::string::npos)
             << error.what();
     }
@@ -427,37 +429,6 @@ TEST(RuntimeCheckpointTest, MismatchedDefenseSpecRefusesToResume) {
     FleetRunner third(same);
     const FleetResult resumed = third.run(input, ItscsConfig{});
     EXPECT_EQ(resumed.checkpoint.shards_loaded, resumed.shards.size());
-}
-
-TEST(RuntimeCheckpointTest, LrsdResumeIsBitIdentical) {
-    // The checkpoint layer is backend-agnostic: an interrupted LRSD run
-    // resumes to the same bits as an uninterrupted one.
-    const ItscsInput input = fleet_input();
-    ItscsConfig lrsd;
-    lrsd.cs.solver = SolverKind::kLrsd;
-
-    FleetRunner plain(runtime_config(2));
-    const FleetResult reference = plain.run(input, lrsd);
-
-    CheckpointDir dir;
-    {
-        FleetRunner first(runtime_config(2, dir.path()));
-        first.run(input, lrsd);
-    }
-    drop_frames_after(dir.journal(), 3);
-
-    FleetRunner resumed_runner(runtime_config(2, dir.path(), /*resume=*/true));
-    PipelineContext ctx;
-    const FleetResult resumed = resumed_runner.run(input, lrsd, &ctx);
-    EXPECT_EQ(resumed.checkpoint.shards_loaded, 3u);
-    EXPECT_EQ(resumed.checkpoint.shards_run, resumed.shards.size() - 3u);
-    EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);
-    EXPECT_TRUE(bitwise_equal(resumed.aggregate.detection,
-                              reference.aggregate.detection));
-    EXPECT_TRUE(bitwise_equal(resumed.aggregate.reconstructed_x,
-                              reference.aggregate.reconstructed_x));
-    EXPECT_TRUE(bitwise_equal(resumed.aggregate.reconstructed_y,
-                              reference.aggregate.reconstructed_y));
 }
 
 TEST(RuntimeCheckpointTest, FastTierResumeIsBitIdentical) {

@@ -1,9 +1,8 @@
 // The out-of-core data plane (DESIGN.md §18): slab store round trips,
 // streamed-vs-in-core bit-identity under the work-stealing scheduler
 // (with and without chaos), run_streamed's refusals, crash recovery
-// through a torn slab file, the geographic by_cell
-// planner's determinism and balance contract, and the float32 storage
-// tier's verification gate.
+// through a torn slab file, and the geographic by_cell planner's
+// determinism and balance contract.
 //
 // The central contract: routing a fleet through the mmap slab store — at
 // any thread count, stolen or not — produces bytes identical to the
@@ -12,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
@@ -496,67 +494,6 @@ TEST(ShardPlanCellTest, CellPlannedFleetMatchesRowPlannedNumerics) {
                               again.aggregate.detection));
     EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_x,
                               again.aggregate.reconstructed_x));
-}
-
-// ---- float32 tier verification gate --------------------------------------
-
-TEST(MixedTierTest, ZeroToleranceGateTripsAndAdoptsExactResults) {
-    const ItscsInput input = fleet_input();
-    const FleetResult exact =
-        FleetRunner(runtime_config(1)).run(input, ItscsConfig{});
-
-    RuntimeConfig config = runtime_config(1);
-    config.kernel_tier = KernelTier::kMixed;
-    config.mixed_verify_every = 1;  // gate every shard
-    config.mixed_verify_tolerance = 0.0;  // any f32 drift trips
-    PipelineContext ctx;
-    const FleetResult gated =
-        FleetRunner(config).run(input, ItscsConfig{}, &ctx);
-
-    EXPECT_EQ(ctx.counters().mixed_gate_checks, 7u);
-    EXPECT_GE(ctx.counters().mixed_gate_trips, 1u);
-    // Every tripped shard adopted the exact re-solve, so the fleet output
-    // is bit-identical to the pure exact run.
-    EXPECT_TRUE(bitwise_equal(gated.aggregate.detection,
-                              exact.aggregate.detection));
-    EXPECT_TRUE(bitwise_equal(gated.aggregate.reconstructed_x,
-                              exact.aggregate.reconstructed_x));
-    EXPECT_TRUE(bitwise_equal(gated.aggregate.reconstructed_y,
-                              exact.aggregate.reconstructed_y));
-}
-
-TEST(MixedTierTest, OpenGateLetsMixedResultsThroughWithinTolerance) {
-    const ItscsInput input = fleet_input();
-    const FleetResult exact =
-        FleetRunner(runtime_config(1)).run(input, ItscsConfig{});
-
-    RuntimeConfig config = runtime_config(1);
-    config.kernel_tier = KernelTier::kMixed;
-    config.mixed_verify_every = 1;
-    config.mixed_verify_tolerance = 1e9;  // never trips
-    PipelineContext ctx;
-    const FleetResult mixed =
-        FleetRunner(config).run(input, ItscsConfig{}, &ctx);
-
-    EXPECT_EQ(ctx.counters().mixed_gate_checks, 7u);
-    EXPECT_EQ(ctx.counters().mixed_gate_trips, 0u);
-    // The mixed tier genuinely computes in f32: its reconstructions
-    // differ from exact in the low bits (were they identical, the
-    // trip test above would be vacuous)...
-    EXPECT_FALSE(bitwise_equal(mixed.aggregate.reconstructed_x,
-                               exact.aggregate.reconstructed_x));
-    // ...but stays within the documented quality envelope.
-    double max_rel = 0.0;
-    double num = 0.0;
-    double den = 0.0;
-    const auto dm = mixed.aggregate.reconstructed_x.data();
-    const auto de = exact.aggregate.reconstructed_x.data();
-    for (std::size_t k = 0; k < dm.size(); ++k) {
-        num += (dm[k] - de[k]) * (dm[k] - de[k]);
-        den += de[k] * de[k];
-    }
-    max_rel = den > 0.0 ? std::sqrt(num / den) : 0.0;
-    EXPECT_LE(max_rel, 1e-3);
 }
 
 }  // namespace

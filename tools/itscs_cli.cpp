@@ -15,11 +15,9 @@
 //       cells for later scoring.
 //
 //   itscs clean    --in corrupted.csv --participants N --slots T
-//                  [--variant full|no-v|no-vt] [--solver asd|lrsd]
-//                  [--estimate-velocity]
+//                  [--variant full|no-v|no-vt] [--estimate-velocity]
 //                  [--threads N] [--shard-size K] [--shard-count C]
-//                  [--planner rows|cell] [--kernel-threads M]
-//                  [--tier exact|fast|mixed] [--row-block-threshold K]
+//                  [--planner rows|cell] [--tier exact|fast]
 //                  [--slab-dir D [--storage f64|f32] [--memory-budget MB]]
 //                  [--chaos=SPEC] [--adversary=SPEC] [--defense=SPEC]
 //                  [--failure-report fr.json]
@@ -35,15 +33,13 @@
 //       "plan" and "runtime" blocks; without runtime flags the plan is one
 //       shard on one thread. --threads/--shard-size detect/correct
 //       participant shards concurrently (the per-shard contexts are
-//       merged so --stats-json stays a single document);
-//       --kernel-threads enables row-blocked kernel parallelism instead
-//       of (or alongside) sharding. --tier fast switches the GEMM-shaped
-//       kernels to the SIMD tier (linalg/kernel_tier.hpp) — deterministic,
-//       but not bit-identical to the default exact tier — and
-//       --row-block-threshold overrides the minimum destination rows for
-//       row-blocked dispatch; both are echoed (with the detected CPU
-//       features and per-kernel FLOP totals) in --report and --stats-json.
-//       --chaos injects faults per the
+//       merged so --stats-json stays a single document; shard workers are
+//       the only parallelism, every kernel runs serially inside its
+//       shard). --tier fast switches the GEMM-shaped kernels to the SIMD
+//       tier (linalg/kernel_tier.hpp) — deterministic, but not
+//       bit-identical to the default exact tier — and is echoed (with the
+//       detected CPU features and per-kernel FLOP totals) in --report and
+//       --stats-json. --chaos injects faults per the
 //       DESIGN.md §11 spec grammar (nan=p,inf=p,dup=p,diverge=p,throw=p,
 //       cells=q,seed=u,crash=k); --adversary injects structured faults per
 //       the §16 grammar (collude=k,outage=r,outagespan=w,outagenoise=m,
@@ -73,7 +69,7 @@
 //       frame was corrupt.
 //
 //   itscs serve    --in corrupted.csv --participants N --slots T
-//                  [--window W] [--stride K] [--variant V] [--solver B]
+//                  [--window W] [--stride K] [--variant V]
 //                  [--threads N] [--shard-size K] [--shard-count C]
 //                  [--tier exact|fast] [--chaos=SPEC]
 //                  [--journal FILE] [--resume] [--no-warm-start]
@@ -94,24 +90,20 @@
 //       structured FailureReports, not crashes.
 //
 //   itscs demo     [--alpha A] [--beta B] [--seed S] [--json]
-//                  [--stats-json] [--solver asd|lrsd]
+//                  [--stats-json] [--tier exact|fast]
 //       End-to-end in-memory pipeline with ground-truth scoring.
 //       --stats-json prints (or, with --json, merges as a "stats" member)
 //       the instrumentation counters of the run.
 //
 //   itscs help     (also --help / -h)
 //       Enumerate every subcommand's --key=value flags. Unknown keys on
-//       any subcommand error out naming the nearest valid flag.
-//
-//       --solver picks the CORRECT-step recovery backend (DESIGN.md §14):
-//       asd (the paper's Eq. 23 objective, the default) or lrsd (the
-//       LS-decomposition of [18], whose sparse component feeds Check()
-//       directly). Recorded in checkpoint manifests like the kernel tier,
-//       so a --resume never mixes backends.
+//       any subcommand error out naming the nearest valid flag. A bare
+//       `itscs` prints one line per subcommand and points here.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime failures,
 // 3 when --strict finds degraded shards or corrupt checkpoint frames.
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -133,7 +125,6 @@
 #include "runtime/fleet_runner.hpp"
 #include "serve/daemon.hpp"
 #include "linalg/kernel_tier.hpp"
-#include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "metrics/confusion.hpp"
 #include "metrics/reconstruction_error.hpp"
@@ -143,17 +134,13 @@
 
 namespace {
 
-// The kernel stack a run used: tier, resolved fast path, CPU features,
-// and the row-block threshold. Attached to both --report and --stats-json
-// output so a perf number can always be traced back to the code path that
-// produced it.
-mcs::Json kernel_info(
-    mcs::KernelTier tier,
-    std::size_t row_block_threshold = mcs::kernel_row_block_threshold()) {
+// The kernel stack a run used: tier, resolved fast path and CPU features.
+// Attached to both --report and --stats-json output so a perf number can
+// always be traced back to the code path that produced it.
+mcs::Json kernel_info(mcs::KernelTier tier) {
     mcs::Json out = mcs::Json::object();
     out["tier"] = std::string(mcs::to_string(tier));
     out["fast_path"] = std::string(mcs::fast_kernel_path());
-    out["row_block_threshold"] = row_block_threshold;
     const mcs::CpuFeatures& f = mcs::cpu_features();
     mcs::Json cpu = mcs::Json::object();
     cpu["avx2"] = f.avx2;
@@ -228,9 +215,9 @@ mcs::Json defense_info(const std::string& spec,
 // ---- flag registry --------------------------------------------------------
 //
 // One row per --key the CLI understands, per subcommand. Single source of
-// truth for three consumers: `itscs help` (enumerates every flag with its
-// description), Args::validate (unknown keys error out with the nearest
-// valid name), and the usage sketch.
+// truth for two consumers: `itscs help` (enumerates every flag with its
+// description) and Args::validate (unknown keys error out with the
+// nearest valid name).
 
 struct FlagSpec {
     const char* name;   // without the leading --
@@ -265,17 +252,14 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"slots", "T", "time slots (columns)"},
         {"variant", "V", "full | no-v | no-vt (default full)"},
         {"estimate-velocity", "", "derive velocities from positions"},
-        {"solver", "B", "recovery backend: asd | lrsd (default asd)"},
         {"threads", "N", "shard worker threads (FleetRunner)"},
         {"shard-size", "K", "participants per shard"},
         {"shard-count", "C", "shard count (when no --shard-size)"},
         {"planner", "P", "shard planner: rows | cell (default rows)"},
-        {"kernel-threads", "M", "row-blocked kernel parallelism"},
-        {"tier", "T", "kernel tier: exact | fast | mixed (default exact)"},
+        {"tier", "T", "kernel tier: exact | fast (default exact)"},
         {"slab-dir", "DIR", "out-of-core slab store; stream shards via mmap"},
         {"storage", "S", "slab storage tier: f64 | f32 (with --slab-dir)"},
         {"memory-budget", "MB", "resident-window ceiling for --slab-dir"},
-        {"row-block-threshold", "K", "min rows for row-blocked dispatch"},
         {"chaos", "SPEC", "fault injection per DESIGN.md §11 grammar"},
         {"adversary", "SPEC", "structured adversary per DESIGN.md §16"},
         {"defense", "SPEC", "defence suite per DESIGN.md §17"},
@@ -296,7 +280,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"window", "W", "slots per evaluation window (default 60)"},
         {"stride", "K", "slots between evaluations (default 20)"},
         {"variant", "V", "full | no-v | no-vt (default full)"},
-        {"solver", "B", "recovery backend: asd | lrsd (default asd)"},
         {"threads", "N", "shard worker threads (FleetRunner)"},
         {"shard-size", "K", "participants per shard"},
         {"shard-count", "C", "shard count (when no --shard-size)"},
@@ -317,7 +300,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"alpha", "A", "missing ratio (default 0.2)"},
         {"beta", "B", "fault ratio (default 0.2)"},
         {"seed", "S", "dataset seed (default 1)"},
-        {"solver", "B", "recovery backend: asd | lrsd (default asd)"},
         {"tier", "T", "kernel tier: exact | fast (default exact)"},
         {"json", "", "JSON report instead of prose"},
         {"stats-json", "", "include instrumentation counters"},
@@ -543,7 +525,6 @@ int cmd_clean(const Args& args) {
     }
     mcs::ItscsConfig config =
         mcs::make_config(parse_variant(args.get_or("variant", "full")));
-    config.cs.solver = mcs::parse_solver_kind(args.get_or("solver", "asd"));
     mcs::PipelineContext ctx;
     const bool want_stats = args.has("stats-json");
 
@@ -576,16 +557,11 @@ int cmd_clean(const Args& args) {
             ? args.count("shard-count")
             : (runtime.shard_size == 0 ? runtime.threads : 0);
     runtime.planner = mcs::parse_planner_mode(args.get_or("planner", "rows"));
-    runtime.kernel_threads =
-        args.has("kernel-threads") ? args.count("kernel-threads") : 1;
     runtime.kernel_tier =
         mcs::parse_kernel_tier(args.get_or("tier", "exact"));
     runtime.storage = mcs::parse_storage_tier(args.get_or("storage", "f64"));
     runtime.memory_budget_mb =
         args.has("memory-budget") ? args.count("memory-budget") : 0;
-    runtime.kernel_row_block_threshold =
-        args.has("row-block-threshold") ? args.count("row-block-threshold")
-                                        : 0;
     runtime.health.deadline_seconds = args.number("shard-deadline", 0.0);
     runtime.checkpoint_dir = args.get_or("checkpoint-dir", "");
     runtime.resume = args.has("resume");
@@ -673,12 +649,6 @@ int cmd_clean(const Args& args) {
     }
     const mcs::ItscsResult& result = fleet.aggregate;
     const mcs::CheckpointSummary& checkpoint = fleet.checkpoint;
-    // FleetRunner installs the row-block threshold only for the run; echo
-    // the value it used.
-    const std::size_t row_block_threshold =
-        runtime.kernel_row_block_threshold != 0
-            ? runtime.kernel_row_block_threshold
-            : mcs::kernel_row_block_threshold();
 
     mcs::TraceDataset cleaned{result.reconstructed_x, result.reconstructed_y,
                               input.vx, input.vy, input.tau_s};
@@ -703,7 +673,6 @@ int cmd_clean(const Args& args) {
         report["participants"] = n;
         report["slots"] = t;
         report["variant"] = args.get_or("variant", "full");
-        report["solver"] = std::string(mcs::to_string(config.cs.solver));
         report["iterations"] = result.iterations;
         report["converged"] = result.converged;
         report["flagged_readings"] = flagged;
@@ -716,8 +685,7 @@ int cmd_clean(const Args& args) {
             history.push_back(row);
         }
         report["history"] = history;
-        report["kernel"] =
-            kernel_info(runtime.kernel_tier, row_block_threshold);
+        report["kernel"] = kernel_info(runtime.kernel_tier);
         if (args.has("adversary")) {
             report["adversary"] =
                 adversary_info(args.get("adversary"), fleet.adversary);
@@ -750,11 +718,8 @@ int cmd_clean(const Args& args) {
         report["plan"] = plan_line;
         mcs::Json runtime_line = mcs::Json::object();
         runtime_line["threads"] = runtime.threads;
-        runtime_line["kernel_threads"] = runtime.kernel_threads;
         runtime_line["kernel_tier"] =
             std::string(mcs::to_string(runtime.kernel_tier));
-        runtime_line["solver"] = std::string(mcs::to_string(config.cs.solver));
-        runtime_line["row_block_threshold"] = row_block_threshold;
         // The *resolved* decomposition, so a report from a run that leaned
         // on machine defaults still states what actually ran.
         runtime_line["shard_size"] = runtime.shard_size;
@@ -829,7 +794,7 @@ int cmd_clean(const Args& args) {
     }
     if (want_stats) {
         mcs::Json stats = ctx.to_json();
-        stats["kernel"] = kernel_info(runtime.kernel_tier, row_block_threshold);
+        stats["kernel"] = kernel_info(runtime.kernel_tier);
         std::cout << stats.dump(2) << "\n";
     }
     // Status lines go to stderr, so that stdout holds only the
@@ -910,9 +875,6 @@ int cmd_serve(const Args& args) {
     serve.stride = args.has("stride") ? args.count("stride") : 20;
     serve.framework =
         mcs::make_config(parse_variant(args.get_or("variant", "full")));
-    const mcs::SolverKind solver =
-        mcs::parse_solver_kind(args.get_or("solver", "asd"));
-    serve.framework.cs.solver = solver;
 
     const std::size_t threads =
         args.has("threads") ? args.count("threads") : 1;
@@ -991,7 +953,6 @@ int cmd_serve(const Args& args) {
         report["slots"] = t;
         report["window"] = serve.window;
         report["stride"] = serve.stride;
-        report["solver"] = std::string(mcs::to_string(solver));
         report["warm_start"] = serve.warm_start;
         report["threads"] = threads;
         report["uploads_accepted"] = stats.uploads_accepted;
@@ -1085,10 +1046,10 @@ int cmd_demo(const Args& args) {
     const mcs::KernelTier tier =
         mcs::parse_kernel_tier(args.get_or("tier", "exact"));
     mcs::KernelTierScope tier_scope(tier);
-    mcs::ItscsConfig config = mcs::make_config(mcs::ItscsVariant::kFull);
-    config.cs.solver = mcs::parse_solver_kind(args.get_or("solver", "asd"));
-    const mcs::ItscsResult result = mcs::run_itscs(
-        mcs::to_itscs_input(data), config, {}, want_stats ? &ctx : nullptr);
+    const mcs::ItscsResult result =
+        mcs::run_itscs(mcs::to_itscs_input(data),
+                       mcs::make_config(mcs::ItscsVariant::kFull), {},
+                       want_stats ? &ctx : nullptr);
     const mcs::ConfusionCounts counts = mcs::evaluate_detection(
         result.detection, data.fault, data.existence);
     const double mae = mcs::reconstruction_mae(
@@ -1099,8 +1060,6 @@ int cmd_demo(const Args& args) {
         mcs::Json report = mcs::Json::object();
         report["alpha"] = alpha;
         report["beta"] = beta;
-        report["solver"] =
-            std::string(mcs::to_string(config.cs.solver));
         report["precision"] = counts.precision();
         report["recall"] = counts.recall();
         report["f1"] = counts.f1();
@@ -1128,22 +1087,30 @@ int cmd_demo(const Args& args) {
     return 0;
 }
 
+// One line per subcommand, shared by `itscs help` and the bare-`itscs`
+// usage message.
+struct CommandBlurb {
+    const char* name;
+    const char* blurb;
+};
+
+constexpr CommandBlurb kCommands[] = {
+    {"simulate", "generate a synthetic ground-truth fleet trace"},
+    {"corrupt", "inject missing values and faults into a trace"},
+    {"clean", "run the I(TS,CS) framework over a corrupted trace"},
+    {"serve", "replay a trace through the online ingestion daemon"},
+    {"demo", "end-to-end in-memory pipeline with ground-truth scoring"},
+};
+
+constexpr const char* kUsageLine =
+    "usage: itscs <simulate|corrupt|clean|serve|demo|help> "
+    "[--key value | --key=value ...]\n";
+
 // `itscs help`: the full flag enumeration, one row per --key, from the
 // same registry that validates them.
 int cmd_help() {
-    std::cout << "usage: itscs <simulate|corrupt|clean|serve|demo|help> "
-                 "[--key value | --key=value ...]\n\n";
-    const struct {
-        const char* name;
-        const char* blurb;
-    } commands[] = {
-        {"simulate", "generate a synthetic ground-truth fleet trace"},
-        {"corrupt", "inject missing values and faults into a trace"},
-        {"clean", "run the I(TS,CS) framework over a corrupted trace"},
-        {"serve", "replay a trace through the online ingestion daemon"},
-        {"demo", "end-to-end in-memory pipeline with ground-truth scoring"},
-    };
-    for (const auto& command : commands) {
+    std::cout << kUsageLine << "\n";
+    for (const CommandBlurb& command : kCommands) {
         std::cout << command.name << " — " << command.blurb << "\n";
         for (const FlagSpec& spec : known_flags(command.name)) {
             std::string left = std::string("--") + spec.name;
@@ -1164,45 +1131,16 @@ int cmd_help() {
     return 0;
 }
 
+// A bare or unknown subcommand: the command list only. The flags live in
+// `itscs help`, generated from the registry, so they cannot drift here.
 int usage() {
-    std::cerr
-        << "usage: itscs <simulate|corrupt|clean|serve|demo|help> "
-           "[--flags...]\n"
-           "  simulate --participants N --slots T [--seed S] "
-           "[--extent-km E] --out trace.csv\n"
-           "  corrupt  --in trace.csv --participants N --slots T "
-           "[--alpha A] [--beta B]\n"
-           "           [--gamma G] [--seed S] [--drift] [--adversary=SPEC]\n"
-           "           --out c.csv [--truth-faults f.csv]\n"
-           "  clean    --in c.csv --participants N --slots T "
-           "[--variant full|no-v|no-vt]\n"
-           "           [--solver asd|lrsd] [--estimate-velocity] "
-           "[--threads N]\n"
-           "           [--shard-size K] [--shard-count C]\n"
-           "           [--kernel-threads M] [--tier exact|fast] "
-           "[--row-block-threshold K]\n"
-           "           [--chaos=SPEC] [--adversary=SPEC] [--defense=SPEC] "
-           "[--failure-report fr.json]\n"
-           "           [--shard-deadline S] [--checkpoint-dir D] "
-           "[--resume] [--strict]\n"
-           "           --out cleaned.csv "
-           "[--flags flags.csv] [--report r.json]\n"
-           "           [--stats-json]\n"
-           "  serve    --in c.csv --participants N --slots T [--window W] "
-           "[--stride K]\n"
-           "           [--variant V] [--solver asd|lrsd] [--threads N] "
-           "[--shard-size K]\n"
-           "           [--shard-count C] [--tier exact|fast] "
-           "[--chaos=SPEC] [--adversary=SPEC]\n"
-           "           [--defense=SPEC] [--journal j.bin] [--resume] "
-           "[--no-warm-start]\n"
-           "           [--warm-verify-every K] [--warm-verify-tolerance T]\n"
-           "           [--queue-capacity Q] [--report r.json] "
-           "[--stats-json]\n"
-           "  demo     [--alpha A] [--beta B] [--seed S] [--json] "
-           "[--stats-json]\n"
-           "           [--solver asd|lrsd] [--tier exact|fast]\n"
-           "  help     full flag reference (also --help / -h)\n";
+    std::cerr << kUsageLine;
+    for (const CommandBlurb& command : kCommands) {
+        std::cerr << "  " << command.name
+                  << std::string(10 - std::strlen(command.name), ' ')
+                  << command.blurb << "\n";
+    }
+    std::cerr << "Run `itscs help` for every command's flags.\n";
     return 1;
 }
 

@@ -124,57 +124,51 @@ if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
     echo "expected chaos spec failure"; exit 1
 fi
 
-echo "== lrsd solver backend end to end =="
-"$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
-    --solver lrsd --threads 2 --shard-size 8 \
-    --out "$WORKDIR/cleaned_lrsd.csv" --report "$WORKDIR/report_lrsd.json" \
-    --stats-json > "$WORKDIR/lrsd_stats.out"
-test -s "$WORKDIR/cleaned_lrsd.csv"
-CLEANED_LRSD=$(wc -l < "$WORKDIR/cleaned_lrsd.csv")
-test "$CLEANED_LRSD" -eq 1201
-grep -q '"solver": "lrsd"' "$WORKDIR/report_lrsd.json"
-grep -q '"solver_backend": "lrsd"' "$WORKDIR/lrsd_stats.out"
-python3 - "$WORKDIR/lrsd_stats.out" <<'EOF'
-import json, sys
-stats = json.load(open(sys.argv[1]))
-counters = stats["counters"]
-assert counters["solves_lrsd"] > 0 and counters["solves_asd"] == 0, counters
-assert counters["lrsd_rounds"] > 0, counters
-print("lrsd counters OK:", counters["solves_lrsd"], "solves,",
-      counters["lrsd_rounds"], "rounds")
-EOF
-# The backend choice changes the numerics: outputs must differ from ASD.
-if cmp -s "$WORKDIR/cleaned_t1.csv" "$WORKDIR/cleaned_lrsd.csv"; then
-    echo "expected lrsd output to differ from asd"; exit 1
-fi
-
 echo "== help enumerates every flag =="
 "$ITSCS" help > "$WORKDIR/help.out"
-grep -q -- '--solver=B' "$WORKDIR/help.out"
+grep -q -- '--tier=T' "$WORKDIR/help.out"
 grep -q -- '--chaos=SPEC' "$WORKDIR/help.out"
 grep -q -- '--checkpoint-dir=D' "$WORKDIR/help.out"
 "$ITSCS" --help > /dev/null
 
 echo "== unknown flag suggests the nearest valid name =="
-if "$ITSCS" clean --solvr lrsd --in "$WORKDIR/corrupted.csv" \
+if "$ITSCS" clean --treads 2 --in "$WORKDIR/corrupted.csv" \
     --participants 20 --slots 60 --out "$WORKDIR/never.csv" \
     2> "$WORKDIR/unknown.err"; then
     echo "expected unknown-flag failure"; exit 1
 fi
-grep -q 'unknown flag --solvr (did you mean --solver?)' "$WORKDIR/unknown.err"
+grep -q 'unknown flag --treads (did you mean --threads?)' "$WORKDIR/unknown.err"
 
 echo "== usage errors =="
 if "$ITSCS" frobnicate 2>/dev/null; then
     echo "expected usage failure"; exit 1
 fi
+# A bare `itscs` lists the commands and points at the generated flag list.
+set +e
+"$ITSCS" 2> "$WORKDIR/usage.err"
+STATUS=$?
+set -e
+test "$STATUS" -eq 1 || { echo "expected bare itscs exit 1, got $STATUS"; exit 1; }
+grep -q 'itscs help' "$WORKDIR/usage.err"
 if "$ITSCS" clean --in /nonexistent.csv --participants 2 --slots 2 \
     --out /tmp/x.csv 2>/dev/null; then
     echo "expected runtime failure"; exit 1
 fi
-if "$ITSCS" clean --in /nonexistent.csv --participants 2 --slots 2 \
-    --solver simplex --out /tmp/x.csv 2>/dev/null; then
-    echo "expected bad solver name failure"; exit 1
-fi
+set +e
+"$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
+    --tier mixed --out "$WORKDIR/never.csv" 2> "$WORKDIR/tier.err"
+STATUS=$?
+set -e
+test "$STATUS" -eq 2 || { echo "expected --tier mixed exit 2, got $STATUS"; exit 1; }
+grep -q "unknown kernel tier 'mixed'" "$WORKDIR/tier.err"
+for removed in solver kernel-threads row-block-threshold; do
+    if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
+        --slots 60 --"$removed" 1 --out "$WORKDIR/never.csv" \
+        2> "$WORKDIR/removed.err"; then
+        echo "expected --$removed to be refused"; exit 1
+    fi
+    grep -q -- "unknown flag --$removed" "$WORKDIR/removed.err"
+done
 
 echo "== default clean is a one-shard FleetRunner plan =="
 "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \

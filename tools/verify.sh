@@ -7,24 +7,16 @@
 #                            see the `tsan` CMake preset) and run
 #                            runtime_test + runtime_chaos_test +
 #                            core_streaming_test under TSan
-#   tools/verify.sh asan     memory job: same runtime-facing tests plus
-#                            the journal restore, mmap slab and frame
-#                            decoder tests (runtime_checkpoint_test,
-#                            runtime_scale_test, persist_frame_test),
-#                            core_itscs_test and the CS solve and kernel
-#                            tests (cs_asd_test, cs_objective_test,
-#                            cs_solver_backend_test, linalg_kernels_test)
-#                            with -fsanitize=address (the `asan` CMake
-#                            preset)
+#   tools/verify.sh asan     memory job: build every target with
+#                            -fsanitize=address,undefined (the `asan`
+#                            CMake preset) and run the whole ctest suite,
+#                            halting on the first ASan or UBSan report
+#                            and checking for leaks
 #   tools/verify.sh perf     perf smoke: Release-build bench/perf_kernels,
 #                            run it in --quick mode against the committed
 #                            BENCH_kernels.json baseline, and fail when
 #                            any kernel's fast/exact speedup ratio drops
-#                            more than 20% below the baseline ratio; then
-#                            run the cross-backend shootout (perf_pipeline
-#                            --backend-sweep --quick), which exits non-zero
-#                            on empty or non-finite results in any
-#                            {regime, solver} cell
+#                            more than 20% below the baseline ratio
 #   tools/verify.sh adv      adversary smoke: Release-build perf_pipeline
 #                            and run the structured-adversary degradation
 #                            sweep (--adversary-sweep --quick); the binary
@@ -52,7 +44,7 @@
 #                            and run the scale sweep (--scale-sweep
 #                            --quick) — streamed run under the memory
 #                            budget, streamed-vs-in-core and 1/2/7-thread
-#                            bit-identity, f32 tier F1 drift ≤ 1e-3 — then
+#                            bit-identity, f32 storage F1 drift ≤ 1e-3 — then
 #                            rebuild the work-stealing scheduler tests
 #                            (runtime_scale_test) under TSan and run them
 #   tools/verify.sh all      everything, tier-1 first
@@ -82,36 +74,22 @@ tsan() {
 }
 
 asan() {
-    echo "== asan: build (MCS_SANITIZE=address) =="
+    echo "== asan: build (MCS_SANITIZE=address,undefined) =="
     cmake --preset asan
-    cmake --build --preset asan -j "$(nproc)" \
-        --target runtime_test runtime_chaos_test runtime_checkpoint_test \
-        runtime_scale_test persist_frame_test core_streaming_test \
-        core_itscs_test cs_asd_test cs_objective_test \
-        cs_solver_backend_test linalg_kernels_test
-    echo "== asan: runtime + checkpoint + slab + frame + streaming + itscs + CS solve + kernel tests =="
+    cmake --build --preset asan -j "$(nproc)"
+    echo "== asan: whole ctest suite under ASan + UBSan =="
     ctest --preset asan
 }
 
 perf() {
     echo "== perf: build (Release) =="
     cmake --preset release
-    cmake --build --preset release -j "$(nproc)" \
-        --target perf_kernels perf_pipeline
+    cmake --build --preset release -j "$(nproc)" --target perf_kernels
     echo "== perf: kernel smoke vs committed baseline =="
     ./build-release/bench/perf_kernels --quick \
         --output BENCH_kernels_smoke.json \
         --baseline BENCH_kernels.json
     rm -f BENCH_kernels_smoke.json
-    echo "== perf: backend shootout smoke (asd vs lrsd) =="
-    # Writes BENCH_backends.json in cwd; run from a scratch dir so the
-    # committed full-sweep baseline isn't clobbered by quick numbers.
-    local scratch
-    scratch="$(mktemp -d)"
-    (cd "$scratch" &&
-        "$OLDPWD/build-release/bench/perf_pipeline" --backend-sweep --quick \
-            > /dev/null)
-    rm -rf "$scratch"
 }
 
 adv() {
