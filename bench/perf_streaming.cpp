@@ -83,18 +83,6 @@ mcs::SlotUpload slot_of(const mcs::CorruptedDataset& data, std::size_t j) {
     return upload;
 }
 
-double percentile(std::vector<double> samples, double p) {
-    if (samples.empty()) {
-        return 0.0;
-    }
-    std::sort(samples.begin(), samples.end());
-    const double index = p * static_cast<double>(samples.size() - 1);
-    const auto lo = static_cast<std::size_t>(index);
-    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = index - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
 double median(std::vector<double> samples) {
     std::sort(samples.begin(), samples.end());
     return samples[samples.size() / 2];
@@ -132,8 +120,8 @@ Replay replay_trace(const mcs::CorruptedDataset& data, double tau_s,
     out.reports = daemon.drain();
     out.stats = daemon.stats();
     out.asd_iterations = daemon.context().counters().asd_iterations;
-    out.p50_ms = percentile(out.stats.slot_latency_ms, 0.50);
-    out.p99_ms = percentile(out.stats.slot_latency_ms, 0.99);
+    out.p50_ms = out.stats.slot_latency_ms.quantile(0.50);
+    out.p99_ms = out.stats.slot_latency_ms.quantile(0.99);
     out.updates_per_sec =
         out.wall_seconds > 0.0
             ? static_cast<double>(out.stats.uploads_accepted) /
@@ -303,8 +291,8 @@ int main(int argc, char** argv) {
     if (!reports_finite(cold.reports) || !reports_finite(warm.reports)) {
         problems.push_back("empty or non-finite report cells");
     }
-    if (cold.stats.slot_latency_ms.empty() ||
-        warm.stats.slot_latency_ms.empty()) {
+    if (cold.stats.slot_latency_ms.count() == 0 ||
+        warm.stats.slot_latency_ms.count() == 0) {
         problems.push_back("no slot latencies recorded");
     }
     if (!std::isfinite(f1_cold) || !std::isfinite(f1_warm)) {

@@ -80,8 +80,9 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
 
     // Buffers that live across iterations: the residuals (returned with
     // the result), one gradient/direction pair per factor and the line
-    // search's data-sized product. The Gram and its inverse are leased
-    // from `ws` inside each half step and recycled after the first.
+    // search's data-sized product. The Gram, its inverse and the passes'
+    // block buffers are leased from `ws` inside each half step and
+    // recycled after the first.
     CsObjective::Residuals& res = result.residuals;
     Scratch grad_r(ws, result.r.rows(), rank);
     Scratch dir_r(ws, result.r.rows(), rank);
@@ -91,23 +92,26 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
 
     // The objective is quadratic along every search line, so each exact
     // line search reports its own decrease; we track f analytically and
-    // only pay for one full evaluation, at the start.
-    objective.residuals_into(res, result.l, result.r, ws);
+    // only pay for one full evaluation, at the start. Each step pass also
+    // forms the next half step's gradient, so ∇_R enters an iteration
+    // ready: from the start's (or a refresh's) walk, or from the previous
+    // L step.
+    objective.residuals_into(res, result.l, result.r, ws, &*grad_r);
     double current = objective.value_from(res, result.l, result.r);
     result.objective_history.push_back(current);
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         if (iter > 0 && iter % kAsdResidualRefreshPeriod == 0) {
-            objective.residuals_into(res, result.l, result.r, ws);
+            objective.residuals_into(res, result.l, result.r, ws, &*grad_r);
         }
         const double previous = current;
         // Raw Gram traces of the scaled half steps (1.0 = not computed):
         // an exactly-zero trace is the rank-collapse signal.
         double gram_trace_r = 1.0;
         double gram_trace_l = 1.0;
-        // Algorithm 2 lines 11–13: descent in R with L fixed.
+        // Algorithm 2 lines 11–13: descent in R with L fixed; the step
+        // pass leaves ∇_L f at the new R in grad_l.
         {
-            objective.gradient_r_into(*grad_r, res, result.l, result.r, ws);
             const Matrix& direction = [&]() -> const Matrix& {
                 if (!options.scaled) {
                     return *grad_r;
@@ -121,12 +125,13 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
             const CsObjective::LineSearch step = objective.line_search_r(
                 res, result.l, result.r, direction, *product, ws);
             axpy(result.r, -step.alpha, direction);
-            objective.step_residuals(res, *product, step.alpha);
+            objective.step_r(res, *product, step.alpha, result.l, result.r,
+                             &*grad_l, ws);
             current -= step.decrease;
         }
         // Algorithm 2 lines 14–16: descent in L with R fixed.
+        double progress = 0.0;
         {
-            objective.gradient_l_into(*grad_l, res, result.l, result.r, ws);
             const Matrix& direction = [&]() -> const Matrix& {
                 if (!options.scaled) {
                     return *grad_l;
@@ -140,8 +145,17 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
             const CsObjective::LineSearch step = objective.line_search_l(
                 res, result.l, result.r, direction, *product, ws);
             axpy(result.l, -step.alpha, direction);
-            objective.step_residuals(res, *product, step.alpha);
             current -= step.decrease;
+            // The iteration's progress is known before its step pass, so
+            // the pass forms ∇_R only for an iteration that will use it:
+            // not after the last one, nor before a refresh.
+            progress = previous > 0.0 ? (previous - current) / previous : 0.0;
+            const bool next_uses_grad =
+                !(progress < options.relative_tolerance) &&
+                iter + 1 < options.max_iterations &&
+                (iter + 1) % kAsdResidualRefreshPeriod != 0;
+            objective.step_l(res, *product, step.alpha, result.l, result.r,
+                             next_uses_grad ? &*grad_r : nullptr, ws);
         }
 
         result.objective_history.push_back(current);
@@ -166,8 +180,6 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
 
         // Exact line search guarantees non-increase; terminate on small
         // relative progress (Algorithm 2 line 18).
-        const double progress =
-            previous > 0.0 ? (previous - current) / previous : 0.0;
         if (progress < options.relative_tolerance) {
             result.converged = true;
             break;

@@ -18,9 +18,15 @@ namespace mcs {
 
 /// Iterations between full recomputations of the residuals. In between,
 /// every half step moves them along its own line-search product
-/// (CsObjective::step_residuals); the refresh bounds the rounding drift
+/// (CsObjective::step_r / step_l); the refresh bounds the rounding drift
 /// that accumulates.
 constexpr std::size_t kAsdResidualRefreshPeriod = 16;
+
+/// Rows of the n×t data one block of a half step's passes covers
+/// (CsObjective::line_search_* and step_*): 32 rows of P, M, E₃ and ℬ —
+/// 37 KB at t = 48, 190 KB at t = 240 — stay in L1/L2 while a block is
+/// worked on. Blocks of 16 to 64 rows ran alike at 2000×48.
+constexpr std::size_t kAsdRowBlock = 32;
 
 /// Iteration control for ASD.
 struct AsdOptions {

@@ -41,7 +41,133 @@ void add_gemm_flops(PipelineCounters* counters,
 
 bool use_fast_tier() { return active_kernel_tier() == KernelTier::kFast; }
 
+// The same checks on row-range views: a view's shape, and that dst shares
+// no element with an input.
+void check_rows(ConstRows m, std::size_t rows, std::size_t cols,
+                const char* what, const char* op) {
+    MCS_CHECK_MSG(m.rows == rows && m.cols == cols,
+                  std::string(op) + ": " + what + " must be " +
+                      std::to_string(rows) + "x" + std::to_string(cols) +
+                      ", got " + std::to_string(m.rows) + "x" +
+                      std::to_string(m.cols));
+}
+
+void check_disjoint(ConstRows dst, ConstRows in, const char* op) {
+    const double* dst_end = dst.data + dst.rows * dst.cols;
+    const double* in_end = in.data + in.rows * in.cols;
+    MCS_CHECK_MSG(dst.data == dst_end || in.data == in_end ||
+                      dst_end <= in.data || in_end <= dst.data,
+                  std::string(op) + ": dst must not alias an input");
+}
+
+ConstRows whole(const Matrix& m) { return rows_of(m, 0, m.rows()); }
+
+// The kernel bodies, on raw row-major blocks. Every whole-matrix kernel
+// and every row-range form runs exactly one of these.
+
+// dst(rows x n) = a(rows x kdim) · b(kdim x n).
+void multiply_block(double* dst, const double* a, const double* b,
+                    std::size_t rows, std::size_t kdim, std::size_t n) {
+    if (use_fast_tier()) {
+        fastk::fast_kernels().multiply_rows(dst, a, b, 0, rows, kdim, n);
+        return;
+    }
+    // Same i-k-j order as ops.cpp multiply() so results match bit-for-bit.
+    for (std::size_t i = 0; i < rows; ++i) {
+        double* out = dst + i * n;
+        const double* ai = a + i * kdim;
+        for (std::size_t j = 0; j < n; ++j) {
+            out[j] = 0.0;
+        }
+        for (std::size_t k = 0; k < kdim; ++k) {
+            const double aik = ai[k];
+            if (aik == 0.0) {
+                continue;
+            }
+            const double* bk = b + k * n;
+            for (std::size_t j = 0; j < n; ++j) {
+                out[j] += aik * bk[j];
+            }
+        }
+    }
+}
+
+// dst(rows x n) = a(rows x kdim) · b(n x kdim)ᵀ.
+void multiply_transposed_block(double* dst, const double* a, const double* b,
+                               std::size_t rows, std::size_t n,
+                               std::size_t kdim) {
+    if (use_fast_tier()) {
+        fastk::fast_kernels().multiply_transposed_rows(dst, a, b, 0, rows, n,
+                                                       kdim);
+        return;
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+        const double* ai = a + i * kdim;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double* bj = b + j * kdim;
+            double acc = 0.0;
+            for (std::size_t k = 0; k < kdim; ++k) {
+                acc += ai[k] * bj[k];
+            }
+            dst[i * n + j] = acc;
+        }
+    }
+}
+
+// dst(acols x bcols) (+)= a(m x acols)ᵀ · b(m x bcols).
+void transpose_multiply_block(double* dst, const double* a, const double* b,
+                              std::size_t m, std::size_t acols,
+                              std::size_t bcols, bool accumulate) {
+    if (use_fast_tier()) {
+        fastk::fast_kernels().transpose_multiply(dst, a, b, m, acols, bcols,
+                                                 accumulate);
+        return;
+    }
+    for (std::size_t p = 0; p < acols * bcols && !accumulate; ++p) {
+        dst[p] = 0.0;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+        const double* ak = a + k * acols;
+        const double* bk = b + k * bcols;
+        for (std::size_t i = 0; i < acols; ++i) {
+            const double aki = ak[i];
+            if (aki == 0.0) {
+                continue;
+            }
+            double* out = dst + i * bcols;
+            for (std::size_t j = 0; j < bcols; ++j) {
+                out[j] += aki * bk[j];
+            }
+        }
+    }
+}
+
+// y[k] += alpha · x[k] for k in [0, size).
+void axpy_block(double* y, double alpha, const double* x, std::size_t size) {
+    if (use_fast_tier()) {
+        fastk::fast_kernels().axpy(y, alpha, x, size);
+        return;
+    }
+    for (std::size_t k = 0; k < size; ++k) {
+        y[k] += alpha * x[k];
+    }
+}
+
 }  // namespace
+
+Rows rows_of(Matrix& m, std::size_t lo, std::size_t hi) {
+    MCS_CHECK_MSG(lo <= hi && hi <= m.rows(),
+                  "rows_of: rows [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + ") outside " + m.shape_string());
+    return {m.data().data() + lo * m.cols(), hi - lo, m.cols()};
+}
+
+ConstRows rows_of(const Matrix& m, std::size_t lo, std::size_t hi) {
+    MCS_CHECK_MSG(lo <= hi && hi <= m.rows(),
+                  "rows_of: rows [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + ") outside " + m.shape_string());
+    return {m.data().data() + lo * m.cols(), hi - lo, m.cols()};
+}
 
 void copy_into(Matrix& dst, const Matrix& src) {
     check_shape(dst, src.rows(), src.cols(), "copy_into");
@@ -94,15 +220,7 @@ void hadamard_into(Matrix& dst, const Matrix& a, const Matrix& b) {
 
 void axpy(Matrix& y, double alpha, const Matrix& x) {
     check_shape(y, x.rows(), x.cols(), "axpy");
-    const auto dx = x.data();
-    auto dy = y.data();
-    if (use_fast_tier()) {
-        fastk::fast_kernels().axpy(dy.data(), alpha, dx.data(), dy.size());
-        return;
-    }
-    for (std::size_t k = 0; k < dx.size(); ++k) {
-        dy[k] += alpha * dx[k];
-    }
+    axpy_block(y.data().data(), alpha, x.data().data(), y.size());
 }
 
 void multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
@@ -113,30 +231,8 @@ void multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.rows(), b.cols(), "multiply_into");
     check_not_aliased(dst, a, "multiply_into");
     check_not_aliased(dst, b, "multiply_into");
-    if (use_fast_tier()) {
-        fastk::fast_kernels().multiply_rows(
-            dst.data().data(), a.data().data(), b.data().data(), 0,
-            a.rows(), a.cols(), b.cols());
-        add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows(),
-                       b.cols(), a.cols());
-        return;
-    }
-    // Same i-k-j order as ops.cpp multiply() so results match bit-for-bit.
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        auto out = dst.row(i);
-        for (double& v : out) {
-            v = 0.0;
-        }
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const double aik = a(i, k);
-            if (aik == 0.0) {
-                continue;
-            }
-            for (std::size_t j = 0; j < b.cols(); ++j) {
-                out[j] += aik * b(k, j);
-            }
-        }
-    }
+    multiply_block(dst.data().data(), a.data().data(), b.data().data(),
+                   a.rows(), a.cols(), b.cols());
     add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows(),
                    b.cols(), a.cols());
 }
@@ -149,26 +245,8 @@ void multiply_transposed_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.rows(), b.rows(), "multiply_transposed_into");
     check_not_aliased(dst, a, "multiply_transposed_into");
     check_not_aliased(dst, b, "multiply_transposed_into");
-    if (use_fast_tier()) {
-        fastk::fast_kernels().multiply_transposed_rows(
-            dst.data().data(), a.data().data(), b.data().data(), 0,
-            a.rows(), b.rows(), a.cols());
-        add_gemm_flops(counters,
-                       &PipelineCounters::flops_multiply_transposed, a.rows(),
-                       b.rows(), a.cols());
-        return;
-    }
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const auto ra = a.row(i);
-        for (std::size_t j = 0; j < b.rows(); ++j) {
-            const auto rb = b.row(j);
-            double acc = 0.0;
-            for (std::size_t k = 0; k < ra.size(); ++k) {
-                acc += ra[k] * rb[k];
-            }
-            dst(i, j) = acc;
-        }
-    }
+    multiply_transposed_block(dst.data().data(), a.data().data(),
+                              b.data().data(), a.rows(), b.rows(), a.cols());
     add_gemm_flops(counters, &PipelineCounters::flops_multiply_transposed,
                    a.rows(), b.rows(), a.cols());
 }
@@ -181,29 +259,9 @@ void transpose_multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.cols(), b.cols(), "transpose_multiply_into");
     check_not_aliased(dst, a, "transpose_multiply_into");
     check_not_aliased(dst, b, "transpose_multiply_into");
-    if (use_fast_tier()) {
-        fastk::fast_kernels().transpose_multiply(
-            dst.data().data(), a.data().data(), b.data().data(), a.rows(),
-            a.cols(), b.cols());
-        add_gemm_flops(counters,
-                       &PipelineCounters::flops_transpose_multiply, a.cols(),
-                       b.cols(), a.rows());
-        return;
-    }
-    dst.fill(0.0);
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-        const auto ra = a.row(k);
-        const auto rb = b.row(k);
-        for (std::size_t i = 0; i < ra.size(); ++i) {
-            const double aki = ra[i];
-            if (aki == 0.0) {
-                continue;
-            }
-            for (std::size_t j = 0; j < rb.size(); ++j) {
-                dst(i, j) += aki * rb[j];
-            }
-        }
-    }
+    transpose_multiply_block(dst.data().data(), a.data().data(),
+                             b.data().data(), a.rows(), a.cols(), b.cols(),
+                             false);
     add_gemm_flops(counters, &PipelineCounters::flops_transpose_multiply,
                    a.cols(), b.cols(), a.rows());
 }
@@ -258,6 +316,63 @@ void gram_with_ridge_into(Matrix& dst, const Matrix& a, double ridge,
     for (std::size_t i = 0; i < dst.rows(); ++i) {
         dst(i, i) += ridge;
     }
+}
+
+void transpose_into(Matrix& dst, const Matrix& src) {
+    check_shape(dst, src.cols(), src.rows(), "transpose_into");
+    check_not_aliased(dst, src, "transpose_into");
+    for (std::size_t i = 0; i < src.rows(); ++i) {
+        for (std::size_t j = 0; j < src.cols(); ++j) {
+            dst(j, i) = src(i, j);
+        }
+    }
+}
+
+void multiply_rows_into(Rows dst, ConstRows a, const Matrix& b,
+                        PipelineCounters* counters) {
+    MCS_CHECK_MSG(a.cols == b.rows(),
+                  "multiply_rows_into: inner dimensions differ: " +
+                      std::to_string(a.cols) + " vs " + b.shape_string());
+    check_rows(dst, a.rows, b.cols(), "dst", "multiply_rows_into");
+    check_disjoint(dst, a, "multiply_rows_into");
+    check_disjoint(dst, whole(b), "multiply_rows_into");
+    multiply_block(dst.data, a.data, b.data().data(), a.rows, a.cols,
+                   b.cols());
+    add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows,
+                   b.cols(), a.cols);
+}
+
+void multiply_transposed_rows_into(Rows dst, ConstRows a, const Matrix& b,
+                                   PipelineCounters* counters) {
+    MCS_CHECK_MSG(a.cols == b.cols(),
+                  "multiply_transposed_rows_into: inner dimensions differ: " +
+                      std::to_string(a.cols) + " vs " + b.shape_string() +
+                      "ᵀ");
+    check_rows(dst, a.rows, b.rows(), "dst", "multiply_transposed_rows_into");
+    check_disjoint(dst, a, "multiply_transposed_rows_into");
+    check_disjoint(dst, whole(b), "multiply_transposed_rows_into");
+    multiply_transposed_block(dst.data, a.data, b.data().data(), a.rows,
+                              b.rows(), a.cols);
+    add_gemm_flops(counters, &PipelineCounters::flops_multiply_transposed,
+                   a.rows, b.rows(), a.cols);
+}
+
+void transpose_multiply_rows_accumulate(Matrix& dst, ConstRows a,
+                                        ConstRows b,
+                                        PipelineCounters* counters) {
+    check_rows(b, a.rows, b.cols, "b", "transpose_multiply_rows_accumulate");
+    check_shape(dst, a.cols, b.cols, "transpose_multiply_rows_accumulate");
+    check_disjoint(whole(dst), a, "transpose_multiply_rows_accumulate");
+    check_disjoint(whole(dst), b, "transpose_multiply_rows_accumulate");
+    transpose_multiply_block(dst.data().data(), a.data, b.data, a.rows,
+                             a.cols, b.cols, true);
+    add_gemm_flops(counters, &PipelineCounters::flops_transpose_multiply,
+                   a.cols, b.cols, a.rows);
+}
+
+void axpy_rows(Rows y, double alpha, ConstRows x) {
+    check_rows(y, x.rows, x.cols, "y", "axpy_rows");
+    axpy_block(y.data, alpha, x.data, y.rows * y.cols);
 }
 
 Matrix Workspace::acquire(std::size_t rows, std::size_t cols) {

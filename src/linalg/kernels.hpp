@@ -70,6 +70,63 @@ void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
 void gram_with_ridge_into(Matrix& dst, const Matrix& a, double ridge,
                           PipelineCounters* counters = nullptr);
 
+/// dst = srcᵀ (dst is src.cols x src.rows).
+void transpose_into(Matrix& dst, const Matrix& src);
+
+// ---- Row-range forms ---------------------------------------------------
+//
+// The blocked ASD half step (cs/objective.hpp) walks its n×t data a few
+// rows at a time, so its products come in row ranges: rows [lo, hi) of a
+// product from rows [lo, hi) of its tall operands, or a product
+// accumulated over consecutive row ranges. A range is named by a
+// Rows / ConstRows view of some matrix's consecutive rows — of an n-row
+// operand, or of a small block buffer the caller fills.
+//
+// The contracts are those of the whole-matrix kernels above, stated on the
+// views: shapes MCS_CHECKed, no overlap between dst and an input, FLOPs
+// counted under the kernel's own split (2·rows·n·k per call, so a product
+// taken in ranges counts what it counts whole), and the same tier
+// dispatch. Each whole-matrix kernel is one call of the same code over
+// [0, rows), and the arithmetic for any one element does not depend on
+// the range it was computed in, so a product taken in ranges has exactly
+// the bits of the product taken whole, under either tier.
+
+/// Consecutive rows of a row-major matrix, not owned: `rows` rows of
+/// `cols` doubles starting at `data`. Made by rows_of().
+struct ConstRows {
+    const double* data = nullptr;
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+};
+struct Rows {
+    double* data = nullptr;
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    operator ConstRows() const { return {data, rows, cols}; }
+};
+
+/// Rows [lo, hi) of `m` (MCS_CHECK: lo ≤ hi ≤ m.rows()).
+Rows rows_of(Matrix& m, std::size_t lo, std::size_t hi);
+ConstRows rows_of(const Matrix& m, std::size_t lo, std::size_t hi);
+
+/// dst = a · b for a block of rows (dst.rows == a.rows, a.cols == b.rows).
+void multiply_rows_into(Rows dst, ConstRows a, const Matrix& b,
+                        PipelineCounters* counters = nullptr);
+
+/// dst = a · bᵀ for a block of rows (dst.rows == a.rows, a.cols == b.cols).
+void multiply_transposed_rows_into(Rows dst, ConstRows a, const Matrix& b,
+                                   PipelineCounters* counters = nullptr);
+
+/// dst += aᵀ · b over a block of rows (a.rows == b.rows; dst is
+/// a.cols x b.cols). Zeroing dst and then accumulating consecutive row
+/// ranges in order gives the bits of transpose_multiply_into.
+void transpose_multiply_rows_accumulate(Matrix& dst, ConstRows a,
+                                        ConstRows b,
+                                        PipelineCounters* counters = nullptr);
+
+/// y += alpha · x over a block of rows (same shape).
+void axpy_rows(Rows y, double alpha, ConstRows x);
+
 /// Recycling arena for scratch matrices.
 ///
 /// acquire() returns a Matrix of the requested shape, reusing a pooled

@@ -88,8 +88,9 @@ void multiply_transposed_rows(double* dst, const double* a, const double* b,
 }
 
 void transpose_multiply(double* dst, const double* a, const double* b,
-                        std::size_t m, std::size_t acols, std::size_t bcols) {
-    for (std::size_t p = 0; p < acols * bcols; ++p) {
+                        std::size_t m, std::size_t acols, std::size_t bcols,
+                        bool accumulate) {
+    for (std::size_t p = 0; p < acols * bcols && !accumulate; ++p) {
         dst[p] = 0.0;
     }
     for (std::size_t k = 0; k < m; ++k) {
@@ -221,6 +222,13 @@ MCS_TARGET_AVX2 inline __m256d dot4(const double* x, const double* y0,
     return _mm256_add_pd(swap, blend);
 }
 
+// Start of one accumulator register: zero, or the four dst values a
+// product accumulates onto.
+MCS_TARGET_AVX2 inline __m256d tile_start(const double* out,
+                                          bool accumulate) {
+    return accumulate ? _mm256_loadu_pd(out) : _mm256_setzero_pd();
+}
+
 // Register-resident GEMM row block: dst rows [lo, hi) of an (hi−lo)×n
 // product whose k-term for dst row i is a[i·ri + k·rk] — covers both a·b
 // (ri = kdim, rk = 1) and aᵀ·b (ri = 1, rk = acols); b is row-major k×n in
@@ -229,11 +237,12 @@ MCS_TARGET_AVX2 inline __m256d dot4(const double* x, const double* y0,
 // in pairs so eight independent FMA chains hide the FMA latency that a
 // single row's four chains cannot. Every dst element accumulates its
 // k-terms as one ascending chain, so neither the pairing nor the
-// j-blocking can change the bits.
+// j-blocking can change the bits. With `accumulate` the chain starts from
+// dst's value instead of zero (dst += product).
 MCS_TARGET_AVX2
 void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
                const double* b, std::size_t lo, std::size_t hi,
-               std::size_t kdim, std::size_t n) {
+               std::size_t kdim, std::size_t n, bool accumulate) {
     std::size_t i = lo;
     for (; i + 2 <= hi; i += 2) {
         const double* a0 = a + i * ri;
@@ -242,14 +251,14 @@ void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
         double* out1 = out0 + n;
         std::size_t j = 0;
         for (; j + 16 <= n; j += 16) {
-            __m256d c00 = _mm256_setzero_pd();
-            __m256d c01 = _mm256_setzero_pd();
-            __m256d c02 = _mm256_setzero_pd();
-            __m256d c03 = _mm256_setzero_pd();
-            __m256d c10 = _mm256_setzero_pd();
-            __m256d c11 = _mm256_setzero_pd();
-            __m256d c12 = _mm256_setzero_pd();
-            __m256d c13 = _mm256_setzero_pd();
+            __m256d c00 = tile_start(out0 + j, accumulate);
+            __m256d c01 = tile_start(out0 + j + 4, accumulate);
+            __m256d c02 = tile_start(out0 + j + 8, accumulate);
+            __m256d c03 = tile_start(out0 + j + 12, accumulate);
+            __m256d c10 = tile_start(out1 + j, accumulate);
+            __m256d c11 = tile_start(out1 + j + 4, accumulate);
+            __m256d c12 = tile_start(out1 + j + 8, accumulate);
+            __m256d c13 = tile_start(out1 + j + 12, accumulate);
             const double* pa0 = a0;
             const double* pa1 = a1;
             const double* bk = b + j;
@@ -280,8 +289,8 @@ void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
             _mm256_storeu_pd(out1 + j + 12, c13);
         }
         for (; j + 4 <= n; j += 4) {
-            __m256d c0 = _mm256_setzero_pd();
-            __m256d c1 = _mm256_setzero_pd();
+            __m256d c0 = tile_start(out0 + j, accumulate);
+            __m256d c1 = tile_start(out1 + j, accumulate);
             const double* pa0 = a0;
             const double* pa1 = a1;
             const double* bk = b + j;
@@ -295,8 +304,8 @@ void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
             _mm256_storeu_pd(out1 + j, c1);
         }
         for (; j < n; ++j) {
-            double s0 = 0.0;
-            double s1 = 0.0;
+            double s0 = accumulate ? out0[j] : 0.0;
+            double s1 = accumulate ? out1[j] : 0.0;
             const double* pa0 = a0;
             const double* pa1 = a1;
             const double* bk = b + j;
@@ -314,10 +323,10 @@ void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
         double* out0 = dst + i * n;
         std::size_t j = 0;
         for (; j + 16 <= n; j += 16) {
-            __m256d c00 = _mm256_setzero_pd();
-            __m256d c01 = _mm256_setzero_pd();
-            __m256d c02 = _mm256_setzero_pd();
-            __m256d c03 = _mm256_setzero_pd();
+            __m256d c00 = tile_start(out0 + j, accumulate);
+            __m256d c01 = tile_start(out0 + j + 4, accumulate);
+            __m256d c02 = tile_start(out0 + j + 8, accumulate);
+            __m256d c03 = tile_start(out0 + j + 12, accumulate);
             const double* pa0 = a0;
             const double* bk = b + j;
             for (std::size_t k = 0; k < kdim; ++k, pa0 += rk, bk += n) {
@@ -333,7 +342,7 @@ void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
             _mm256_storeu_pd(out0 + j + 12, c03);
         }
         for (; j + 4 <= n; j += 4) {
-            __m256d c0 = _mm256_setzero_pd();
+            __m256d c0 = tile_start(out0 + j, accumulate);
             const double* pa0 = a0;
             const double* bk = b + j;
             for (std::size_t k = 0; k < kdim; ++k, pa0 += rk, bk += n) {
@@ -343,7 +352,7 @@ void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
             _mm256_storeu_pd(out0 + j, c0);
         }
         for (; j < n; ++j) {
-            double s0 = 0.0;
+            double s0 = accumulate ? out0[j] : 0.0;
             const double* pa0 = a0;
             const double* bk = b + j;
             for (std::size_t k = 0; k < kdim; ++k, pa0 += rk, bk += n) {
@@ -358,7 +367,7 @@ MCS_TARGET_AVX2
 void multiply_rows(double* dst, const double* a, const double* b,
                    std::size_t lo, std::size_t hi, std::size_t kdim,
                    std::size_t n) {
-    gemm_rows(dst, a, kdim, 1, b, lo, hi, kdim, n);
+    gemm_rows(dst, a, kdim, 1, b, lo, hi, kdim, n, false);
 }
 
 MCS_TARGET_AVX2
@@ -397,8 +406,9 @@ void multiply_transposed_rows(double* dst, const double* a, const double* b,
 
 MCS_TARGET_AVX2
 void transpose_multiply(double* dst, const double* a, const double* b,
-                        std::size_t m, std::size_t acols, std::size_t bcols) {
-    gemm_rows(dst, a, 1, acols, b, 0, acols, m, bcols);
+                        std::size_t m, std::size_t acols, std::size_t bcols,
+                        bool accumulate) {
+    gemm_rows(dst, a, 1, acols, b, 0, acols, m, bcols, accumulate);
 }
 
 MCS_TARGET_AVX2
@@ -567,8 +577,9 @@ void multiply_transposed_rows(double* dst, const double* a, const double* b,
 }
 
 void transpose_multiply(double* dst, const double* a, const double* b,
-                        std::size_t m, std::size_t acols, std::size_t bcols) {
-    for (std::size_t p = 0; p < acols * bcols; ++p) {
+                        std::size_t m, std::size_t acols, std::size_t bcols,
+                        bool accumulate) {
+    for (std::size_t p = 0; p < acols * bcols && !accumulate; ++p) {
         dst[p] = 0.0;
     }
     for (std::size_t k = 0; k < m; ++k) {

@@ -5,8 +5,9 @@
 //
 // These operate on raw row-major buffers — the Matrix-level contracts
 // (shape checks, alias checks, FLOP counters, tier selection) all live in
-// linalg/kernels.cpp, which is the only caller and runs each row-range
-// kernel once over [0, rows). The arithmetic performed for any single
+// linalg/kernels.cpp, which is the only caller: a whole-matrix kernel runs
+// its row-range kernel once over [0, rows), a row-range form over the
+// rows it names. The arithmetic performed for any single
 // destination element depends only on the operand shapes, never on the
 // [lo, hi) grouping — that is the fast tier's determinism contract
 // (identical bits run-to-run and across --threads). Within one element the
@@ -37,10 +38,14 @@ struct FastKernels {
                                      std::size_t hi, std::size_t n,
                                      std::size_t kdim);
 
-    /// Full dst(acols x bcols) = a(m x acols)ᵀ · b(m x bcols).
+    /// Full dst(acols x bcols) = a(m x acols)ᵀ · b(m x bcols), or
+    /// dst += that product when `accumulate` is set: every element then
+    /// continues its k-chain from the value in dst, so a product split
+    /// into consecutive row ranges of a and b, accumulated in order, has
+    /// the bits of the product taken whole.
     void (*transpose_multiply)(double* dst, const double* a, const double* b,
                                std::size_t m, std::size_t acols,
-                               std::size_t bcols);
+                               std::size_t bcols, bool accumulate);
 
     /// Rows [lo, hi) of dst(m x n) = (l·rᵀ) ∘ mask − s, with
     /// l(m x rank), r(n x rank), mask/s(m x n).

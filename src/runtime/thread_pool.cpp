@@ -1,7 +1,5 @@
 #include "runtime/thread_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/check.hpp"
@@ -118,67 +116,6 @@ std::vector<ThreadPool::TaskError> ThreadPool::take_errors() {
     return std::exchange(errors_, {});
 }
 
-bool ThreadPool::on_worker_thread() {
-    return tls_worker_index != static_cast<std::size_t>(-1);
-}
-
 std::size_t ThreadPool::worker_index() { return tls_worker_index; }
-
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-    MCS_CHECK_MSG(begin <= end, "parallel_for: inverted range");
-    MCS_CHECK_MSG(grain >= 1, "parallel_for: grain must be at least 1");
-    MCS_CHECK_MSG(body != nullptr, "parallel_for: null body");
-    MCS_CHECK_MSG(!on_worker_thread(),
-                  "parallel_for: nested call from a pool worker");
-    const std::size_t total = end - begin;
-    if (total == 0) {
-        return;
-    }
-    // Deterministic chunking: as many chunks as workers (so every worker
-    // can participate) but never smaller than `grain`. Depends only on the
-    // range and pool size — a fixed pool size gives fixed chunk boundaries.
-    const std::size_t max_chunks = std::max<std::size_t>(
-        1, std::min(size(), (total + grain - 1) / grain));
-    if (max_chunks == 1) {
-        body(begin, end);
-        return;
-    }
-    const std::size_t chunk = (total + max_chunks - 1) / max_chunks;
-
-    // Per-call completion state: the call must be re-entrant from several
-    // non-worker threads at once, so nothing is stored in the pool.
-    struct ForState {
-        std::mutex mutex;
-        std::condition_variable done;
-        std::size_t pending = 0;
-        std::exception_ptr error;
-    } state;
-    state.pending = (total + chunk - 1) / chunk;
-
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-        const std::size_t hi = std::min(end, lo + chunk);
-        submit([&state, &body, lo, hi] {
-            try {
-                body(lo, hi);
-            } catch (...) {
-                std::unique_lock<std::mutex> lock(state.mutex);
-                if (state.error == nullptr) {
-                    state.error = std::current_exception();
-                }
-            }
-            std::unique_lock<std::mutex> lock(state.mutex);
-            if (--state.pending == 0) {
-                state.done.notify_all();
-            }
-        });
-    }
-    std::unique_lock<std::mutex> lock(state.mutex);
-    state.done.wait(lock, [&state] { return state.pending == 0; });
-    if (state.error != nullptr) {
-        std::rethrow_exception(state.error);
-    }
-}
 
 }  // namespace mcs

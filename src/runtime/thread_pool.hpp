@@ -14,10 +14,6 @@
 //     first also re-throws from take_error() / wait_idle(). Nothing is
 //     silently dropped — a fleet where three shards fail reports three
 //     failures, not one.
-//   * parallel_for() blocks the caller until every chunk completed and
-//     re-throws the first exception thrown by a body. It must not be
-//     called from inside a pool worker (nested data-parallelism would
-//     deadlock a bounded pool) — doing so throws mcs::Error.
 //   * The destructor is graceful: it finishes everything already queued,
 //     then joins. Work submitted before destruction is never dropped.
 #pragma once
@@ -73,29 +69,11 @@ public:
     /// First exception thrown by a submitted task since the last drain
     /// (nullptr if none). Clears ALL captured errors — a compatibility
     /// wrapper over take_errors() for callers that only act on one.
-    /// parallel_for exceptions do not land here — they re-throw at the
-    /// parallel_for call site.
     std::exception_ptr take_error();
 
     /// Every task exception captured since the last drain, in completion
     /// order, each with its submit() label. Clears the captured set.
     std::vector<TaskError> take_errors();
-
-    /// Split [begin, end) into chunks of at least `grain` indices, run
-    /// body(chunk_begin, chunk_end) across the pool, and block until all
-    /// chunks finished. Chunk boundaries depend only on (begin, end,
-    /// grain, size()) — never on scheduling — so a body that writes
-    /// disjoint per-index outputs produces identical results at any
-    /// thread count. Runs inline when the range is one chunk or the pool
-    /// has a single worker. Throws mcs::Error when called from a pool
-    /// worker thread (no nested data-parallelism).
-    void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                      const std::function<void(std::size_t, std::size_t)>&
-                          body);
-
-    /// True on any ThreadPool worker thread (any pool in the process) —
-    /// the guard behind nested-parallel_for rejection.
-    static bool on_worker_thread();
 
     /// Index of the current worker within its pool (0-based); SIZE_MAX on
     /// threads that are not pool workers. Stable for the worker's lifetime

@@ -40,9 +40,8 @@ StealStats steal_run(
         return stats;
     }
 
-    // Deal items to deques in the same contiguous balanced blocks the old
-    // parallel_for chunking used: deque w holds an ascending run of
-    // neighbouring items.
+    // Deal items to deques in contiguous balanced blocks: deque w holds an
+    // ascending run of neighbouring items.
     std::vector<std::unique_ptr<WorkerDeque>> deques;
     deques.reserve(n);
     const std::size_t base = items / n;

@@ -1,12 +1,12 @@
 // Work-stealing shard scheduler (DESIGN.md §18).
 //
-// FleetRunner's shard loop used to be a static parallel_for: shard k went
-// to chunk k/chunk_size, and a worker that drew a run of cheap shards
-// (detect-only ladder exits, small by_cell shards) sat idle while another
-// ground through the expensive ones. steal_run() replaces that with the
-// classic per-worker-deque scheme: items are dealt to per-worker deques in
-// the same deterministic contiguous blocks parallel_for would have used
-// (locality: consecutive shards are spatial neighbours under by_cell),
+// A static split of the shard loop — shard k to chunk k/chunk_size — leaves
+// a worker that drew a run of cheap shards (detect-only ladder exits,
+// small by_cell shards) idle while another grinds through the expensive
+// ones. steal_run() uses the classic per-worker-deque scheme instead:
+// items are dealt to per-worker deques in deterministic contiguous
+// balanced blocks (locality: consecutive shards are spatial neighbours
+// under by_cell),
 // each worker pops its own deque from the front, and a worker whose deque
 // runs dry locks a victim's deque and steals the back half in one block.
 //
@@ -47,7 +47,7 @@ struct StealStats {
 /// Runs inline (in deal order, next_hint = following item) when pool is
 /// null or the effective worker count is 1. Blocks until every item
 /// completed; the first exception thrown by fn is re-thrown here after
-/// the barrier (remaining items still run, matching parallel_for).
+/// the barrier (the remaining items still run).
 StealStats steal_run(
     ThreadPool* pool, std::size_t workers, std::size_t items,
     const std::function<void(std::size_t item, std::size_t next_hint)>& fn);

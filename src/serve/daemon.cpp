@@ -340,7 +340,7 @@ void IngestDaemon::process(SlotUpload upload) {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.uploads_accepted;
-        stats_.slot_latency_ms.push_back(ms);
+        stats_.slot_latency_ms.record(ms);
     }
     pump_reports();
 }

@@ -29,6 +29,7 @@
 
 #include "common/context.hpp"
 #include "common/failure.hpp"
+#include "common/histogram.hpp"
 #include "core/streaming.hpp"
 #include "runtime/fleet_runner.hpp"
 #include "serve/ingest_queue.hpp"
@@ -90,9 +91,10 @@ struct ServeStats {
     std::size_t shards_stolen = 0;
     std::size_t journal_corrupt_frames = 0;
     bool journal_torn_tail = false;
-    /// Wall time of each live push_slot (ms); stride-boundary slots carry
-    /// their window's evaluation, so the p99 is the evaluation latency.
-    std::vector<double> slot_latency_ms;
+    /// Wall times of the live push_slots (ms) in a fixed-size histogram;
+    /// stride-boundary slots carry their window's evaluation, so the p99
+    /// is the evaluation latency.
+    LatencyHistogram slot_latency_ms;
 };
 
 /// The ingestion daemon. Lifecycle: construct → start() → submit()× →

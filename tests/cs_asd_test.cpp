@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -271,10 +273,15 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // ASD moves its residuals along each step's line-search product instead of
 // recomputing them, with a full recomputation every
-// kAsdResidualRefreshPeriod iterations. The tests below pin that loop to
-// the objective's definition: after many iterations the maintained
-// residuals and the analytic objective track still match a fresh
-// evaluation, and one iteration matches a textbook half step.
+// kAsdResidualRefreshPeriod iterations, and walks the data in blocks of
+// kAsdRowBlock rows. The tests below pin that loop to the objective's
+// definition: after many iterations the maintained residuals, the next
+// gradients the step passes form and the analytic objective track still
+// match a fresh evaluation, and one iteration matches a textbook half
+// step. Both run on shapes around the block size (one row, a partial
+// block, one block, one block and a row, two blocks and a partial one)
+// and around the sweeps' four lanes (t = 1, 2, 3, 4, 5 and 26), under
+// both kernel tiers.
 
 // A dense (not low-rank) problem, so the objective stays well away from 0
 // and relative comparisons of f are meaningful.
@@ -285,17 +292,38 @@ struct SolveProblem {
     FactorPair start;
 };
 
-SolveProblem make_solve_problem(std::uint64_t seed) {
+// Rank 17, capped at min(n, t): wide enough for the fast kernels' 16- and
+// 4-wide column tiles in the gradient products, plus a scalar tail.
+constexpr std::size_t kRank = 17;
+
+SolveProblem make_solve_problem(std::uint64_t seed, std::size_t n,
+                                std::size_t t) {
     Rng rng(seed);
     SolveProblem p;
-    p.s = random_matrix(18, 26, rng, 100.0);
-    p.mask = Matrix(18, 26);
+    p.s = random_matrix(n, t, rng, 100.0);
+    p.mask = Matrix(n, t);
     for (auto& x : p.mask.data()) {
         x = rng.bernoulli(0.7) ? 1.0 : 0.0;
     }
-    p.velocity = random_matrix(18, 26, rng, 5.0);
-    p.start = warm_start(hadamard(p.s, p.mask), p.mask, 3);
+    p.velocity = random_matrix(n, t, rng, 5.0);
+    p.start = warm_start(hadamard(p.s, p.mask), p.mask,
+                         std::min<std::size_t>({kRank, n, t}));
     return p;
+}
+
+constexpr std::size_t kBlock = kAsdRowBlock;
+const auto kShapeRows = ::testing::Values<std::size_t>(
+    1, kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + 3);
+const auto kShapeCols = ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 26);
+
+// Variant, scaled, fast tier, n, t.
+using AsdCase = std::tuple<int, bool, bool, std::size_t, std::size_t>;
+
+std::string asd_case_name(const ::testing::TestParamInfo<AsdCase>& info) {
+    const auto [variant, scaled, fast, n, t] = info.param;
+    return "v" + std::to_string(variant) + (scaled ? "_scaled" : "_plain") +
+           (fast ? "_fast_" : "_exact_") + std::to_string(n) + "x" +
+           std::to_string(t);
 }
 
 // The objective variants the loop distinguishes: the full f₃, its
@@ -311,14 +339,13 @@ constexpr Variant kVariants[] = {{TemporalMode::kVelocity, 0.5},
 constexpr double kTau = 30.0;
 constexpr double kLambda1 = 0.2;
 
-class AsdDriftProperty
-    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+class AsdDriftProperty : public ::testing::TestWithParam<AsdCase> {};
 
 TEST_P(AsdDriftProperty, MaintainedResidualsMatchFreshOnes) {
-    const auto [variant_index, scaled, fast] = GetParam();
+    const auto [variant_index, scaled, fast, n, t] = GetParam();
     const Variant variant = kVariants[variant_index];
     const KernelTierScope tier(fast ? KernelTier::kFast : KernelTier::kExact);
-    const SolveProblem p = make_solve_problem(40 + variant_index);
+    const SolveProblem p = make_solve_problem(40 + variant_index, n, t);
     const CsObjective objective(p.s, p.mask, p.velocity, kTau, kLambda1,
                                 variant.lambda2, variant.mode);
     AsdOptions options;
@@ -327,8 +354,7 @@ TEST_P(AsdDriftProperty, MaintainedResidualsMatchFreshOnes) {
     static_assert(37 % kAsdResidualRefreshPeriod != 0,
                   "the run must end between two refreshes");
     options.relative_tolerance = 0.0;  // force all 37
-    const AsdResult result =
-        asd_minimize(objective, p.start.l, p.start.r, options);
+    AsdResult result = asd_minimize(objective, p.start.l, p.start.r, options);
     ASSERT_EQ(result.iterations, 37u);
 
     Workspace ws;
@@ -337,21 +363,56 @@ TEST_P(AsdDriftProperty, MaintainedResidualsMatchFreshOnes) {
     const double bound = 1e-9 * frobenius_norm(objective.masked_sensory());
     EXPECT_LE(frobenius_norm(subtract(result.residuals.m, fresh.m)), bound);
     ASSERT_EQ(result.residuals.e3.empty(), fresh.e3.empty());
-    ASSERT_EQ(result.residuals.g.empty(), fresh.g.empty());
     if (!fresh.e3.empty()) {
         EXPECT_LE(frobenius_norm(subtract(result.residuals.e3, fresh.e3)),
                   bound);
-        EXPECT_LE(frobenius_norm(subtract(result.residuals.g, fresh.g)),
-                  bound);
+        Matrix g;
+        Matrix fresh_g;
+        objective.gradient_factor_into(g, result.residuals);
+        objective.gradient_factor_into(fresh_g, fresh);
+        EXPECT_LE(frobenius_norm(subtract(g, fresh_g)), bound);
     }
     const double f = objective.value(result.l, result.r);
     EXPECT_NEAR(result.objective_history.back(), f, 1e-9 * f);
+
+    // The gradients the step passes form from the maintained residuals —
+    // ∇_L after one more R step, then ∇_R after one more L step — against
+    // fresh ones at the same factors. G = M + λ₂·Δᵀ(E₃) is within
+    // (1 + 2λ₂)·bound of its fresh value (M and E₃ each within bound),
+    // and ∇ = 2·G·R or 2·Gᵀ·L carries that through.
+    const double g_bound = (1.0 + 2.0 * variant.lambda2) * bound;
+    Matrix grad;
+    Matrix product;
+    Matrix next;
+    Matrix expected;
+    objective.gradient_r_into(grad, result.residuals, result.l, result.r,
+                              ws);
+    auto step = objective.line_search_r(result.residuals, result.l,
+                                        result.r, grad, product, ws);
+    axpy(result.r, -step.alpha, grad);
+    objective.step_r(result.residuals, product, step.alpha, result.l,
+                     result.r, &next, ws);
+    objective.residuals_into(fresh, result.l, result.r, ws);
+    objective.gradient_l_into(expected, fresh, result.l, result.r, ws);
+    EXPECT_LE(frobenius_norm(subtract(next, expected)),
+              2.0 * g_bound * frobenius_norm(result.r));
+
+    step = objective.line_search_l(result.residuals, result.l, result.r,
+                                   next, product, ws);
+    axpy(result.l, -step.alpha, next);
+    objective.step_l(result.residuals, product, step.alpha, result.l,
+                     result.r, &grad, ws);
+    objective.residuals_into(fresh, result.l, result.r, ws);
+    objective.gradient_r_into(expected, fresh, result.l, result.r, ws);
+    EXPECT_LE(frobenius_norm(subtract(grad, expected)),
+              2.0 * g_bound * frobenius_norm(result.l));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    VariantsScaledAndTiers, AsdDriftProperty,
+    VariantsScaledTiersAndShapes, AsdDriftProperty,
     ::testing::Combine(::testing::Range(0, 4), ::testing::Bool(),
-                       ::testing::Bool()));
+                       ::testing::Bool(), kShapeRows, kShapeCols),
+    asd_case_name);
 
 // One ASD iteration written out from the value-returning ops: full
 // residuals before each half step, both gradient terms, the preconditioner
@@ -434,7 +495,8 @@ private:
         return transpose(solve_spd(w, transpose(grad)));
     }
 
-    // Minimiser of α ↦ f(F − α·D), where LRᵀ moves by −α·P.
+    // Minimiser of α ↦ f(F − α·D), where LRᵀ moves by −α·P; no step when
+    // f is flat along D (a = 0, D = 0), as in CsObjective::line_search.
     double step(const Matrix& m, const Matrix& e3, const Matrix& product,
                 const Matrix& factor, const Matrix& dir) const {
         const Matrix masked = hadamard(product, p_.mask);
@@ -447,7 +509,7 @@ private:
             a += lambda2_ * frobenius_norm_squared(dp);
             b += -2.0 * lambda2_ * frobenius_dot(e3, dp);
         }
-        return -b / (2.0 * a);
+        return a > 0.0 ? -b / (2.0 * a) : 0.0;
     }
 
     const SolveProblem& p_;
@@ -457,13 +519,13 @@ private:
     Matrix target_;
 };
 
-class AsdReferenceProperty
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class AsdReferenceProperty : public ::testing::TestWithParam<AsdCase> {};
 
 TEST_P(AsdReferenceProperty, OneIterationMatchesTextbookHalfSteps) {
-    const auto [variant_index, scaled] = GetParam();
+    const auto [variant_index, scaled, fast, n, t] = GetParam();
     const Variant variant = kVariants[variant_index];
-    const SolveProblem p = make_solve_problem(60 + variant_index);
+    const KernelTierScope tier(fast ? KernelTier::kFast : KernelTier::kExact);
+    const SolveProblem p = make_solve_problem(60 + variant_index, n, t);
     const CsObjective objective(p.s, p.mask, p.velocity, kTau, kLambda1,
                                 variant.lambda2, variant.mode);
     AsdOptions options;
@@ -479,14 +541,23 @@ TEST_P(AsdReferenceProperty, OneIterationMatchesTextbookHalfSteps) {
               1e-10 * frobenius_norm(expected.l));
     EXPECT_LE(frobenius_norm(subtract(result.r, expected.r)),
               1e-10 * frobenius_norm(expected.r));
-    // The step moved the factors: the comparison is not vacuous.
-    EXPECT_GT(frobenius_norm(subtract(result.r, p.start.r)),
-              1e-6 * frobenius_norm(p.start.r));
+    // The step moved the factors: the comparison is not vacuous. The one
+    // exception is L = R = 0, where both gradients vanish in every variant
+    // — warm_start's factors when no cell is observed (a 1×1 problem whose
+    // cell ℬ drops).
+    if (frobenius_norm(p.start.l) + frobenius_norm(p.start.r) > 0.0) {
+        EXPECT_GT(frobenius_norm(subtract(result.r, p.start.r)),
+                  1e-6 * frobenius_norm(p.start.r));
+    } else {
+        EXPECT_EQ(frobenius_norm(result.l) + frobenius_norm(result.r), 0.0);
+    }
 }
 
-INSTANTIATE_TEST_SUITE_P(VariantsAndScaled, AsdReferenceProperty,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    VariantsScaledTiersAndShapes, AsdReferenceProperty,
+    ::testing::Combine(::testing::Range(0, 4), ::testing::Bool(),
+                       ::testing::Bool(), kShapeRows, kShapeCols),
+    asd_case_name);
 
 }  // namespace
 }  // namespace mcs

@@ -225,7 +225,9 @@ TEST(CsObjective, ResidualsMatchDefinitions) {
     EXPECT_TRUE(approx_equal(res.e3, expected_e3, 1e-10));
     const Matrix expected_g =
         add(expected_m, scale(temporal_diff_adjoint(expected_e3), 0.1));
-    EXPECT_TRUE(approx_equal(res.g, expected_g, 1e-10));
+    Matrix g;
+    objective.gradient_factor_into(g, res);
+    EXPECT_TRUE(approx_equal(g, expected_g, 1e-10));
 }
 
 TEST(CsObjective, InactiveTemporalTermLeavesOnlyM) {
@@ -238,12 +240,16 @@ TEST(CsObjective, InactiveTemporalTermLeavesOnlyM) {
         const auto res = residuals_at(objective, p.l, p.r);
         EXPECT_EQ(res.m.rows(), 4u);
         EXPECT_TRUE(res.e3.empty());
-        EXPECT_TRUE(res.g.empty());
+        // Without f₃ the gradients' data factor G is M itself.
+        Matrix g;
+        objective.gradient_factor_into(g, res);
+        EXPECT_TRUE(g == res.m);
     }
 }
 
 // After the step F ← F − α·D the maintained residuals match a fresh
-// computation at the moved factors, in every mode and for both factors.
+// computation at the moved factors, in every mode and for both factors,
+// and so does the other factor's gradient the step pass formed there.
 class StepResidualsProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(StepResidualsProperty, MatchFreshResidualsAfterStep) {
@@ -256,28 +262,48 @@ TEST_P(StepResidualsProperty, MatchFreshResidualsAfterStep) {
     CsObjective::Residuals res = residuals_at(objective, p.l, p.r);
     Matrix grad;
     Matrix product;
+    Matrix next_grad;
+    Matrix fresh_next_grad;
     CsObjective::LineSearch step;
     if (step_l) {
         objective.gradient_l_into(grad, res, p.l, p.r, ws);
         step = objective.line_search_l(res, p.l, p.r, grad, product, ws);
         axpy(p.l, -step.alpha, grad);
+        objective.step_l(res, product, step.alpha, p.l, p.r, &next_grad, ws);
+        objective.gradient_r_into(fresh_next_grad,
+                                  residuals_at(objective, p.l, p.r), p.l,
+                                  p.r, ws);
     } else {
         objective.gradient_r_into(grad, res, p.l, p.r, ws);
         step = objective.line_search_r(res, p.l, p.r, grad, product, ws);
         axpy(p.r, -step.alpha, grad);
+        objective.step_r(res, product, step.alpha, p.l, p.r, &next_grad, ws);
+        objective.gradient_l_into(fresh_next_grad,
+                                  residuals_at(objective, p.l, p.r), p.l,
+                                  p.r, ws);
     }
     ASSERT_GT(step.alpha, 0.0);
-    objective.step_residuals(res, product, step.alpha);
     const auto fresh = residuals_at(objective, p.l, p.r);
     const double scale_s = frobenius_norm(p.s);
     EXPECT_LE(frobenius_norm(subtract(res.m, fresh.m)), 1e-12 * scale_s);
     EXPECT_EQ(res.e3.empty(), fresh.e3.empty());
-    EXPECT_EQ(res.g.empty(), fresh.g.empty());
+    Matrix g;
+    Matrix fresh_g;
+    objective.gradient_factor_into(g, res);
+    objective.gradient_factor_into(fresh_g, fresh);
+    EXPECT_EQ(g.rows(), fresh_g.rows());
+    EXPECT_EQ(g.cols(), fresh_g.cols());
     if (!fresh.e3.empty()) {
         EXPECT_LE(frobenius_norm(subtract(res.e3, fresh.e3)),
                   1e-12 * scale_s);
-        EXPECT_LE(frobenius_norm(subtract(res.g, fresh.g)), 1e-12 * scale_s);
+        EXPECT_LE(frobenius_norm(subtract(g, fresh_g)), 1e-12 * scale_s);
     }
+    // ∇_R = 2·Gᵀ·L + 2λ₁R, ∇_L = 2·G·R + 2λ₁L: G's bound carried through
+    // its product with the factor just moved.
+    const Matrix& other = step_l ? p.l : p.r;
+    EXPECT_LE(frobenius_norm(subtract(next_grad, fresh_next_grad)),
+              2.0 * 1e-12 * scale_s * frobenius_norm(other));
+    EXPECT_GT(frobenius_norm(fresh_next_grad), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModesBothFactors, StepResidualsProperty,

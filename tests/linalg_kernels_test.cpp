@@ -419,6 +419,108 @@ TEST(KernelTiers, PerKernelFlopCountersAttributed) {
                   counters.flops_masked_residual);
 }
 
+// ---- Row-range forms ---------------------------------------------------
+//
+// The blocked ASD passes take their products a few rows at a time. Under
+// either tier a product taken in row ranges — accumulated range by range
+// for transpose_multiply — has exactly the bits of the product taken
+// whole, at every split, and counts the same FLOPs. The shapes cross the
+// fast kernels' 16- and 4-wide column tiles, their row pairs and their
+// scalar tails.
+class RowRangeKernels : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RowRangeKernels, RangesGiveTheBitsOfTheWholeProduct) {
+    const KernelTierScope tier(GetParam() ? KernelTier::kFast
+                                          : KernelTier::kExact);
+    Rng rng(61);
+    const Matrix a = random_matrix(37, 19, rng);
+    const Matrix b = random_matrix(19, 21, rng);
+    const Matrix c = random_matrix(21, 19, rng);
+    const Matrix d = random_matrix(37, 18, rng);
+    const Matrix x = random_matrix(37, 19, rng);
+    Matrix ab_whole(37, 21);
+    multiply_into(ab_whole, a, b);
+    Matrix act_whole(37, 21);
+    multiply_transposed_into(act_whole, a, c);
+    Matrix atd_whole(19, 18);
+    transpose_multiply_into(atd_whole, a, d);
+    Matrix axpy_whole = a;
+    axpy(axpy_whole, 0.375, x);
+    for (const std::size_t block : {1, 2, 5, 16, 37}) {
+        Matrix ab = garbage(37, 21);
+        Matrix act = garbage(37, 21);
+        Matrix atd(19, 18);
+        Matrix ax = a;
+        PipelineCounters counters;
+        for (std::size_t lo = 0; lo < 37; lo += block) {
+            const std::size_t hi = std::min<std::size_t>(37, lo + block);
+            multiply_rows_into(rows_of(ab, lo, hi), rows_of(a, lo, hi), b,
+                               &counters);
+            multiply_transposed_rows_into(rows_of(act, lo, hi),
+                                          rows_of(a, lo, hi), c, &counters);
+            transpose_multiply_rows_accumulate(atd, rows_of(a, lo, hi),
+                                               rows_of(d, lo, hi), &counters);
+            axpy_rows(rows_of(ax, lo, hi), 0.375, rows_of(x, lo, hi));
+        }
+        EXPECT_TRUE(ab == ab_whole) << "block " << block;
+        EXPECT_TRUE(act == act_whole) << "block " << block;
+        EXPECT_TRUE(atd == atd_whole) << "block " << block;
+        EXPECT_TRUE(ax == axpy_whole) << "block " << block;
+        EXPECT_EQ(counters.flops_multiply, 2u * 37u * 21u * 19u);
+        EXPECT_EQ(counters.flops_multiply_transposed, 2u * 37u * 21u * 19u);
+        EXPECT_EQ(counters.flops_transpose_multiply, 2u * 19u * 18u * 37u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothTiers, RowRangeKernels, ::testing::Bool());
+
+TEST(RowRangeKernels, RangesShapesAndAliasingAreChecked) {
+    Rng rng(62);
+    Matrix m = random_matrix(6, 4, rng);
+    EXPECT_THROW(rows_of(m, 4, 3), Error);
+    EXPECT_THROW(rows_of(m, 2, 7), Error);
+    EXPECT_EQ(rows_of(m, 2, 2).rows, 0u);
+
+    const Matrix b = random_matrix(4, 5, rng);
+    Matrix dst(6, 5);
+    EXPECT_THROW(
+        multiply_rows_into(rows_of(dst, 0, 3), rows_of(m, 0, 2), b), Error);
+    EXPECT_THROW(multiply_rows_into(rows_of(dst, 0, 3), rows_of(m, 0, 3),
+                                    random_matrix(3, 5, rng)),
+                 Error);
+    EXPECT_THROW(multiply_transposed_rows_into(rows_of(dst, 0, 3),
+                                               rows_of(m, 0, 3), b),
+                 Error);
+    Matrix acc(4, 4);
+    EXPECT_THROW(transpose_multiply_rows_accumulate(acc, rows_of(m, 0, 3),
+                                                    rows_of(m, 0, 2)),
+                 Error);
+    EXPECT_THROW(transpose_multiply_rows_accumulate(acc, rows_of(m, 0, 3),
+                                                    rows_of(dst, 0, 3)),
+                 Error);
+    EXPECT_THROW(axpy_rows(rows_of(m, 0, 2), 1.0, rows_of(dst, 0, 2)), Error);
+
+    // Overlapping rows of one matrix alias; disjoint ones do not.
+    Matrix sq = random_matrix(6, 6, rng);
+    const Matrix sq_b = random_matrix(6, 6, rng);
+    EXPECT_THROW(
+        multiply_rows_into(rows_of(sq, 0, 3), rows_of(sq, 2, 5), sq_b),
+        Error);
+    EXPECT_NO_THROW(
+        multiply_rows_into(rows_of(sq, 0, 3), rows_of(sq, 3, 6), sq_b));
+    EXPECT_THROW(multiply_rows_into(rows_of(sq, 0, 3), rows_of(m, 0, 3), sq),
+                 Error);
+    Matrix square_acc = random_matrix(6, 6, rng);
+    EXPECT_THROW(transpose_multiply_rows_accumulate(
+                     square_acc, rows_of(square_acc, 0, 6), rows_of(sq, 0, 6)),
+                 Error);
+
+    Matrix mt = garbage(4, 6);
+    transpose_into(mt, m);
+    EXPECT_TRUE(mt == transpose(m));
+    EXPECT_THROW(transpose_into(dst, m), Error);
+}
+
 TEST(KernelTiers, BlockedRandomizedSvdBitIdenticalUnderExactTier) {
     Rng rng(58);
     const Matrix a = random_matrix(30, 22, rng);

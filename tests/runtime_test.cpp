@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -96,50 +98,6 @@ TEST(ShardPlan, RejectsDegenerateInputs) {
 }
 
 // ---- ThreadPool --------------------------------------------------------
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(0, hits.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-            hits[k].fetch_add(1, std::memory_order_relaxed);
-        }
-    });
-    for (const auto& h : hits) {
-        EXPECT_EQ(h.load(), 1);
-    }
-}
-
-TEST(ThreadPool, ParallelForPropagatesBodyException) {
-    ThreadPool pool(3);
-    EXPECT_THROW(pool.parallel_for(0, 100, 1,
-                                   [](std::size_t lo, std::size_t) {
-                                       if (lo % 2 == 0) {
-                                           throw Error("boom");
-                                       }
-                                   }),
-                 Error);
-    // The pool survives the exception and keeps working.
-    std::atomic<int> sum{0};
-    pool.parallel_for(0, 10, 1, [&](std::size_t lo, std::size_t hi) {
-        sum.fetch_add(static_cast<int>(hi - lo));
-    });
-    EXPECT_EQ(sum.load(), 10);
-}
-
-TEST(ThreadPool, NestedParallelForIsRejected) {
-    ThreadPool pool(2);
-    // Both blocks may throw at once, on two workers: the flag is shared.
-    std::atomic<bool> nested_threw{false};
-    pool.parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
-        try {
-            pool.parallel_for(0, 2, 1, [](std::size_t, std::size_t) {});
-        } catch (const Error&) {
-            nested_threw = true;  // one block is enough to prove it
-        }
-    });
-    EXPECT_TRUE(nested_threw.load());
-}
 
 TEST(ThreadPool, ShutdownRunsAllQueuedWork) {
     std::atomic<int> executed{0};
@@ -233,20 +191,30 @@ TEST(ThreadPool, BoundedQueueBlocksProducerWithoutDeadlock) {
 
 TEST(ThreadPool, WorkerIndexIsStableAndBounded) {
     ThreadPool pool(3);
-    EXPECT_FALSE(ThreadPool::on_worker_thread());
     EXPECT_EQ(ThreadPool::worker_index(), static_cast<std::size_t>(-1));
     std::vector<std::atomic<int>> index_seen(3);
-    pool.parallel_for(0, 64, 1, [&](std::size_t, std::size_t) {
-        ASSERT_TRUE(ThreadPool::on_worker_thread());
-        const std::size_t index = ThreadPool::worker_index();
-        ASSERT_LT(index, 3u);
-        index_seen[index].fetch_add(1, std::memory_order_relaxed);
-    });
+    std::mutex mutex;
+    std::map<std::thread::id, std::size_t> index_of_thread;
+    bool stable = true;
+    for (int k = 0; k < 64; ++k) {
+        pool.submit([&] {
+            const std::size_t index = ThreadPool::worker_index();
+            ASSERT_LT(index, 3u);
+            index_seen[index].fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(mutex);
+            const auto [it, fresh] =
+                index_of_thread.emplace(std::this_thread::get_id(), index);
+            stable = stable && (fresh || it->second == index);
+        });
+    }
+    pool.wait_idle();
     int total = 0;
     for (auto& count : index_seen) {
         total += count.load();
     }
-    EXPECT_GT(total, 0);
+    EXPECT_EQ(total, 64);
+    EXPECT_TRUE(stable);
+    EXPECT_EQ(ThreadPool::worker_index(), static_cast<std::size_t>(-1));
 }
 
 // ---- PipelineContext::merge -------------------------------------------

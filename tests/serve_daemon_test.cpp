@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/histogram.hpp"
+#include "common/rng.hpp"
 #include "corruption/adversary.hpp"
 #include "corruption/chaos.hpp"
 #include "corruption/scenario.hpp"
@@ -193,6 +196,8 @@ TEST(IngestDaemon, RejectsMalformedUploadsWithReports) {
     const ServeStats stats = daemon.stats();
     EXPECT_EQ(stats.uploads_rejected, 2u);
     EXPECT_EQ(stats.uploads_accepted, 1u);
+    // Only accepted slots are timed.
+    EXPECT_EQ(stats.slot_latency_ms.count(), 1u);
 
     const auto failures = daemon.drain_failures();
     ASSERT_EQ(failures.size(), 2u);
@@ -666,6 +671,35 @@ TEST(IngestDaemon, ConfigValidation) {
     config = small_config(4);
     config.resume = true;  // resume without a journal
     EXPECT_THROW(IngestDaemon{config}, Error);
+}
+
+// ---- The latency record ------------------------------------------------
+
+// ServeStats keeps slot latencies in a fixed-size histogram, not a
+// per-slot vector: its p50 and p99 land within one bucket's relative width
+// of the exact order statistics of a known sample.
+TEST(LatencyHistogram, QuantilesWithinOneBucketOfExactOrderStatistics) {
+    constexpr std::size_t kSamples = 100000;
+    Rng rng(17);
+    LatencyHistogram histogram;
+    std::vector<double> sample(kSamples);
+    for (double& ms : sample) {
+        // Log-uniform over 0.05 ms .. 5 s, the span of a slot's latency.
+        ms = std::exp(rng.uniform(std::log(0.05), std::log(5000.0)));
+        histogram.record(ms);
+    }
+    std::sort(sample.begin(), sample.end());
+    EXPECT_EQ(histogram.count(), kSamples);
+    EXPECT_EQ(histogram.max(), sample.back());
+    for (const double p : {0.50, 0.99}) {
+        const double exact =
+            sample[static_cast<std::size_t>(std::llround(p * (kSamples - 1)))];
+        EXPECT_LE(std::abs(histogram.quantile(p) - exact),
+                  LatencyHistogram::bucket_width() * exact)
+            << "p = " << p;
+    }
+    EXPECT_EQ(LatencyHistogram().quantile(0.5), 0.0);
+    EXPECT_EQ(LatencyHistogram().count(), 0u);
 }
 
 }  // namespace

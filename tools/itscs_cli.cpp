@@ -833,17 +833,6 @@ int cmd_clean(const Args& args) {
     return 0;
 }
 
-// Percentile over a copy (nearest-rank on the sorted sample); 0 when the
-// sample is empty so a replay with zero live slots still reports cleanly.
-double percentile_ms(std::vector<double> sample, double p) {
-    if (sample.empty()) {
-        return 0.0;
-    }
-    std::sort(sample.begin(), sample.end());
-    const double rank = p / 100.0 * static_cast<double>(sample.size() - 1);
-    return sample[static_cast<std::size_t>(rank + 0.5)];
-}
-
 int cmd_serve(const Args& args) {
     const std::size_t n = args.count("participants");
     const std::size_t t = args.count("slots");
@@ -966,10 +955,8 @@ int cmd_serve(const Args& args) {
         report["journal_torn_tail"] = stats.journal_torn_tail;
         report["participants_quarantined"] = stats.participants_quarantined;
         report["readings_quarantined"] = stats.readings_quarantined;
-        report["slot_latency_p50_ms"] =
-            percentile_ms(stats.slot_latency_ms, 50.0);
-        report["slot_latency_p99_ms"] =
-            percentile_ms(stats.slot_latency_ms, 99.0);
+        report["slot_latency_p50_ms"] = stats.slot_latency_ms.quantile(0.50);
+        report["slot_latency_p99_ms"] = stats.slot_latency_ms.quantile(0.99);
         mcs::Json windows = mcs::Json::array();
         for (const mcs::WindowReport& w : reports) {
             mcs::Json row = mcs::Json::object();
@@ -1024,7 +1011,7 @@ int cmd_serve(const Args& args) {
               << stats.windows_warm << " warm, " << stats.warm_resets
               << " reset(s), p99 "
               << mcs::format_fixed(
-                     percentile_ms(stats.slot_latency_ms, 99.0), 2)
+                     stats.slot_latency_ms.quantile(0.99), 2)
               << " ms\n";
     return 0;
 }

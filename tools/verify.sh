@@ -47,6 +47,16 @@
 #                            bit-identity, f32 storage F1 drift ≤ 1e-3 — then
 #                            rebuild the work-stealing scheduler tests
 #                            (runtime_scale_test) under TSan and run them
+#   tools/verify.sh bench    end-to-end benchmark smoke: run
+#                            benchmark/run.py (which builds its own binary
+#                            from this checkout) for each of the three
+#                            workloads at seed 1 for 2 seconds (at 1.5 s
+#                            serve_stream produces no result), then one
+#                            traced fleet_streamed run; each must exit 0,
+#                            i.e. pass the benchmark's own output checks
+#                            (F1 floor, bit-identical repeated cleans and,
+#                            traced, every per-layer metric present and
+#                            finite)
 #   tools/verify.sh all      everything, tier-1 first
 #
 # Run from the repository root. Exits non-zero on the first failure.
@@ -156,6 +166,18 @@ scale() {
     (cd build-tsan/tests && ./runtime_scale_test)
 }
 
+bench() {
+    local workload
+    for workload in fleet_incore fleet_streamed serve_stream; do
+        echo "== bench: $workload (seed 1, 2 s) =="
+        python3 benchmark/run.py --workload "$workload" --seed 1 \
+            --seconds 2 --trace 0
+    done
+    echo "== bench: fleet_streamed traced (seed 1, 2 s) =="
+    python3 benchmark/run.py --workload fleet_streamed --seed 1 \
+        --seconds 2 --trace 1
+}
+
 case "${1:-tier1}" in
     tier1) tier1 ;;
     tsan) tsan ;;
@@ -165,8 +187,9 @@ case "${1:-tier1}" in
     stream) stream ;;
     defense) defense ;;
     scale) scale ;;
-    all) tier1; tsan; asan; perf; adv; stream; defense; scale ;;
-    *) echo "usage: tools/verify.sh [tier1|tsan|asan|perf|adv|stream|defense|scale|all]" >&2; exit 2 ;;
+    bench) bench ;;
+    all) tier1; tsan; asan; perf; adv; stream; defense; scale; bench ;;
+    *) echo "usage: tools/verify.sh [tier1|tsan|asan|perf|adv|stream|defense|scale|bench|all]" >&2; exit 2 ;;
 esac
 
 echo "verify: OK (${1:-tier1})"
