@@ -2,19 +2,17 @@
 // (DESIGN.md §15).
 //
 // Simulates a corrupted fleet, then replays it slot by slot through a
-// real IngestDaemon — bounded queue, consumer thread, journal disabled —
-// twice: once with cross-window warm starts (the daemon's default) and
-// once cold. For each mode it records the slot-submit latency
-// distribution (p50/p99; stride-boundary slots carry their window's
-// evaluation, so the p99 *is* the evaluation latency), the sustained
-// upload throughput, and the ASD iteration counters; the warm-vs-cold
-// comparison is scored by aggregate F1 against the simulator's ground
-// truth faults.
+// real IngestDaemon — bounded queue, consumer thread, journal disabled.
+// It records the slot-submit latency distribution (p50/p99;
+// stride-boundary slots carry their window's evaluation, so the p99 *is*
+// the evaluation latency), the window-evaluation latency, the sustained
+// upload throughput and the ASD iteration count, and scores the reports'
+// aggregate F1 against the simulator's ground-truth faults.
 //
 // Writes BENCH_streaming.json (and stdout). Exits nonzero when the run
-// is invalid — no windows evaluated, non-finite cells, warm not cheaper
-// than cold in ASD iterations, or an F1 gap above 0.01 — so CI can gate
-// on it. `--quick` shrinks the fleet for the perf-smoke job; `--repeat N`
+// is invalid — no windows evaluated, empty or non-finite report cells, no
+// slot latencies recorded, or a non-finite F1 — so CI can gate on it.
+// `--quick` shrinks the fleet for the perf-smoke job; `--repeat N`
 // (default 3) makes every timed wall a median of N replays after one
 // warm-up.
 #include <algorithm>
@@ -25,7 +23,6 @@
 #include <iostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench_stamp.hpp"
@@ -96,17 +93,18 @@ struct Replay {
     double wall_seconds = 0.0;
     double p50_ms = 0.0;
     double p99_ms = 0.0;
+    double window_p50_ms = 0.0;
+    double window_p99_ms = 0.0;
     double updates_per_sec = 0.0;
 };
 
 Replay replay_trace(const mcs::CorruptedDataset& data, double tau_s,
-                    const Scenario& scenario, bool warm) {
+                    const Scenario& scenario) {
     mcs::ServeConfig config;
     config.participants = scenario.participants;
     config.tau_s = tau_s;
     config.window = scenario.window;
     config.stride = scenario.stride;
-    config.warm_start = warm;
     mcs::IngestDaemon daemon(std::move(config));
     daemon.start();
     const mcs::Stopwatch timer;
@@ -122,6 +120,8 @@ Replay replay_trace(const mcs::CorruptedDataset& data, double tau_s,
     out.asd_iterations = daemon.context().counters().asd_iterations;
     out.p50_ms = out.stats.slot_latency_ms.quantile(0.50);
     out.p99_ms = out.stats.slot_latency_ms.quantile(0.99);
+    out.window_p50_ms = out.stats.window_eval_ms.quantile(0.50);
+    out.window_p99_ms = out.stats.window_eval_ms.quantile(0.99);
     out.updates_per_sec =
         out.wall_seconds > 0.0
             ? static_cast<double>(out.stats.uploads_accepted) /
@@ -132,8 +132,7 @@ Replay replay_trace(const mcs::CorruptedDataset& data, double tau_s,
 
 // Aggregate F1 of every report's detections against the simulator's
 // ground-truth fault mask, scored over observed cells only (overlapping
-// windows score their shared slots once per report, identically for warm
-// and cold, so the comparison is apples to apples).
+// windows score their shared slots once per report).
 double aggregate_f1(const std::vector<mcs::WindowReport>& reports,
                     const mcs::CorruptedDataset& data) {
     mcs::ConfusionCounts counts;
@@ -179,25 +178,30 @@ bool reports_finite(const std::vector<mcs::WindowReport>& reports) {
     return !reports.empty();
 }
 
-mcs::Json mode_row(const std::vector<Replay>& timed, const Replay& first) {
+mcs::Json replay_row(const std::vector<Replay>& timed, const Replay& first) {
     std::vector<double> walls;
     std::vector<double> p50s;
     std::vector<double> p99s;
+    std::vector<double> window_p50s;
+    std::vector<double> window_p99s;
     std::vector<double> rates;
     for (const Replay& r : timed) {
         walls.push_back(r.wall_seconds * 1000.0);
         p50s.push_back(r.p50_ms);
         p99s.push_back(r.p99_ms);
+        window_p50s.push_back(r.window_p50_ms);
+        window_p99s.push_back(r.window_p99_ms);
         rates.push_back(r.updates_per_sec);
     }
     mcs::Json row = mcs::Json::object();
     row["windows"] = first.stats.windows_evaluated;
-    row["windows_warm"] = first.stats.windows_warm;
     row["uploads_accepted"] = first.stats.uploads_accepted;
     row["asd_iterations"] = first.asd_iterations;
     row["wall_ms"] = median(walls);
     row["slot_latency_p50_ms"] = median(p50s);
     row["slot_latency_p99_ms"] = median(p99s);
+    row["window_eval_p50_ms"] = median(window_p50s);
+    row["window_eval_p99_ms"] = median(window_p99s);
     row["updates_per_sec"] = median(rates);
     return row;
 }
@@ -233,31 +237,18 @@ int main(int argc, char** argv) {
     // Replays are deterministic, so counters/reports/F1 come from the
     // first (warm-up) run and only walls/latencies are re-measured
     // `repeat` times.
-    mcs::Json modes = mcs::Json::object();
-    Replay first_by_mode[2];
-    for (const bool warm_mode : {false, true}) {
-        const char* const label = warm_mode ? "warm" : "cold";
-        std::cerr << "streaming replay: mode=" << label << " (warm-up)\n";
-        first_by_mode[warm_mode ? 1 : 0] =
-            replay_trace(data, truth.tau_s, scenario, warm_mode);
-        std::vector<Replay> timed;
-        for (std::size_t rep = 0; rep < repeat; ++rep) {
-            std::cerr << "streaming replay: mode=" << label << " (timed "
-                      << (rep + 1) << "/" << repeat << ")\n";
-            timed.push_back(
-                replay_trace(data, truth.tau_s, scenario, warm_mode));
-        }
-        modes[label] = mode_row(timed, first_by_mode[warm_mode ? 1 : 0]);
+    std::cerr << "streaming replay: warm-up\n";
+    const Replay first = replay_trace(data, truth.tau_s, scenario);
+    std::vector<Replay> timed;
+    for (std::size_t rep = 0; rep < repeat; ++rep) {
+        std::cerr << "streaming replay: timed " << (rep + 1) << "/" << repeat
+                  << "\n";
+        timed.push_back(replay_trace(data, truth.tau_s, scenario));
     }
-    const Replay& cold = first_by_mode[0];
-    const Replay& warm = first_by_mode[1];
-
-    const double f1_cold = aggregate_f1(cold.reports, data);
-    const double f1_warm = aggregate_f1(warm.reports, data);
+    const double f1 = aggregate_f1(first.reports, data);
     // The daemon's per-window fleet runs use the default RuntimeConfig:
-    // one worker per hardware thread.
-    const std::size_t threads =
-        std::max(1u, std::thread::hardware_concurrency());
+    // one shard, run inline on the consumer thread.
+    const std::size_t threads = mcs::RuntimeConfig{}.threads;
 
     mcs::Json report = mcs::Json::object();
     mcs::stamp_environment(report, repeat, threads, quick);
@@ -270,42 +261,22 @@ int main(int argc, char** argv) {
     fleet["missing_ratio"] = scenario.missing_ratio;
     fleet["fault_ratio"] = scenario.fault_ratio;
     report["fleet"] = std::move(fleet);
-    report["modes"] = std::move(modes);
-    mcs::Json versus = mcs::Json::object();
-    versus["f1_cold"] = f1_cold;
-    versus["f1_warm"] = f1_warm;
-    versus["f1_gap"] = std::abs(f1_warm - f1_cold);
-    versus["asd_iteration_ratio"] =
-        cold.asd_iterations > 0
-            ? static_cast<double>(warm.asd_iterations) /
-                  static_cast<double>(cold.asd_iterations)
-            : 1.0;
-    report["warm_vs_cold"] = std::move(versus);
+    report["replay"] = replay_row(timed, first);
+    report["f1"] = f1;
 
     // Validity gate — CI fails the perf-smoke job on any of these.
     std::vector<std::string> problems;
-    if (cold.stats.windows_evaluated == 0 ||
-        warm.stats.windows_evaluated == 0) {
+    if (first.stats.windows_evaluated == 0) {
         problems.push_back("no windows evaluated");
     }
-    if (!reports_finite(cold.reports) || !reports_finite(warm.reports)) {
+    if (!reports_finite(first.reports)) {
         problems.push_back("empty or non-finite report cells");
     }
-    if (cold.stats.slot_latency_ms.count() == 0 ||
-        warm.stats.slot_latency_ms.count() == 0) {
+    if (first.stats.slot_latency_ms.count() == 0) {
         problems.push_back("no slot latencies recorded");
     }
-    if (!std::isfinite(f1_cold) || !std::isfinite(f1_warm)) {
+    if (!std::isfinite(f1)) {
         problems.push_back("non-finite F1");
-    }
-    if (warm.asd_iterations >= cold.asd_iterations) {
-        problems.push_back("warm start not cheaper than cold (" +
-                           std::to_string(warm.asd_iterations) + " vs " +
-                           std::to_string(cold.asd_iterations) +
-                           " ASD iterations)");
-    }
-    if (std::abs(f1_warm - f1_cold) > 0.01) {
-        problems.push_back("warm/cold F1 gap above 0.01");
     }
     report["valid"] = problems.empty();
 

@@ -88,19 +88,6 @@ struct ItscsIterationStats {
     double cs_objective_y = 0.0;
 };
 
-/// Per-axis L/R factors carried between consecutive framework runs. A
-/// streaming caller feeds the factors of window k back into window k+1 so
-/// ASD warm-starts from them instead of paying nearest-fill + truncated
-/// SVD again (DESIGN.md §15). Factors whose shapes no longer match the
-/// problem (window resized, rank changed) are silently ignored — the solve
-/// cold-starts, so a stale warm state degrades performance, never results.
-struct ItscsWarmStart {
-    FactorPair x;  ///< L/R factors of the previous X̂ solve
-    FactorPair y;  ///< L/R factors of the previous Ŷ solve
-
-    bool empty() const { return x.l.empty() && y.l.empty(); }
-};
-
 /// Framework output: Problem 1's 𝒟 and Problem 2's (X̂, Ŷ).
 struct ItscsResult {
     Matrix detection;         ///< final 𝒟 (1 = faulty)
@@ -109,10 +96,6 @@ struct ItscsResult {
     std::size_t iterations = 0;
     bool converged = false;   ///< 𝒟 reached a fixed point
     std::vector<ItscsIterationStats> history;
-    /// Final CORRECT factors per axis, for the next window's warm start.
-    /// Empty when the run never completed a CORRECT pass.
-    FactorPair factors_x;
-    FactorPair factors_y;
     /// Participants the runtime defence layer confirmed in quarantine
     /// (sorted row indices). run_itscs itself never fills this — the core
     /// loop knows nothing of the defence — but FleetRunner's quarantine
@@ -140,13 +123,12 @@ using ItscsObserver = std::function<void(
 /// inspect monitor.tripped() and discard or degrade accordingly
 /// (FleetRunner's degradation ladder does exactly that).
 ///
-/// A non-null `warm` seeds the first iteration's CORRECT solves with the
-/// previous window's factors (ItscsResult::factors_x/factors_y); shape
-/// mismatches fall back to a cold start per axis.
+/// Every call is self-contained: the first CORRECT pass starts from
+/// Algorithm 2's nearest fill and truncated SVD, and later iterations
+/// warm-start ASD from the previous iteration's factors.
 ItscsResult run_itscs(const ItscsInput& input, const ItscsConfig& config,
                       const ItscsObserver& observer = {},
-                      PipelineContext* ctx = nullptr,
-                      const ItscsWarmStart* warm = nullptr);
+                      PipelineContext* ctx = nullptr);
 
 // ---- Single-axis (generic sensory data) entry point --------------------
 //

@@ -1,37 +1,10 @@
 #include "core/streaming.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace mcs {
-
-namespace {
-
-double frobenius_norm(const Matrix& m) {
-    double sum = 0.0;
-    for (const double v : m.data()) {
-        sum += v * v;
-    }
-    return std::sqrt(sum);
-}
-
-double frobenius_distance(const Matrix& a, const Matrix& b) {
-    MCS_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
-                  "frobenius_distance: shape mismatch");
-    double sum = 0.0;
-    const std::span<const double> da = a.data();
-    const std::span<const double> db = b.data();
-    for (std::size_t i = 0; i < da.size(); ++i) {
-        const double d = da[i] - db[i];
-        sum += d * d;
-    }
-    return std::sqrt(sum);
-}
-
-}  // namespace
 
 StreamingDetector::StreamingDetector(std::size_t participants, double tau_s)
     : StreamingDetector(participants, tau_s, Config{}) {}
@@ -45,11 +18,6 @@ StreamingDetector::StreamingDetector(std::size_t participants, double tau_s,
                   "StreamingDetector: window smaller than the detector's");
     MCS_CHECK_MSG(config.stride >= 1 && config.stride <= config.window,
                   "StreamingDetector: stride must be in [1, window]");
-    if (config.warm_verify_every > 0) {
-        MCS_CHECK_MSG(config.warm_verify_tolerance > 0.0,
-                      "StreamingDetector: warm_verify_tolerance must be "
-                      "positive when the verification gate is enabled");
-    }
 }
 
 void StreamingDetector::push_slot(const SlotUpload& upload) {
@@ -98,60 +66,6 @@ std::size_t StreamingDetector::flush() {
     return 1;
 }
 
-// Shift each warm factor's slot axis so row j of R describes the same
-// global slot it did in the previous window. Rows for newly arrived slots
-// extrapolate the last known row (constant continuation); factors whose
-// slot axis cannot be aligned (window resized, no overlap left) are
-// dropped so that axis cold-starts.
-void StreamingDetector::realign_warm(std::size_t width) {
-    const std::size_t shift = slots_received_ - last_eval_slot_;
-    for (ItscsWarmStart& shard : warm_.shards) {
-        for (FactorPair* pair : {&shard.x, &shard.y}) {
-            if (pair->r.empty()) {
-                continue;
-            }
-            if (pair->r.rows() != width || shift >= width) {
-                *pair = FactorPair{};
-                continue;
-            }
-            const std::size_t rank = pair->r.cols();
-            Matrix shifted(width, rank);
-            for (std::size_t j = 0; j < width; ++j) {
-                // Overlapping slots carry their factor rows over; new
-                // slots repeat the last row as a placeholder — the first
-                // CORRECT pass re-solves every R row against this
-                // window's own data before ASD starts (itscs.cpp's
-                // refresh_warm_slot_factor), so the placeholder only
-                // matters for slots with nothing trusted.
-                const std::size_t src = std::min(j + shift, width - 1);
-                for (std::size_t c = 0; c < rank; ++c) {
-                    shifted(j, c) = pair->r(src, c);
-                }
-            }
-            pair->r = std::move(shifted);
-        }
-    }
-}
-
-ItscsResult StreamingDetector::evaluate(const ItscsInput& input,
-                                        WarmStartState* warm) {
-    if (config_.evaluator != nullptr) {
-        return config_.evaluator(input, config_.framework, warm, ctx_);
-    }
-    const ItscsWarmStart* seed = nullptr;
-    if (warm != nullptr && warm->shards.size() == 1 &&
-        !warm->shards[0].empty()) {
-        seed = &warm->shards[0];
-    }
-    ItscsResult result = run_itscs(input, config_.framework, {}, ctx_, seed);
-    if (warm != nullptr) {
-        warm->shards.assign(1, ItscsWarmStart{});
-        warm->shards[0].x = result.factors_x;
-        warm->shards[0].y = result.factors_y;
-    }
-    return result;
-}
-
 void StreamingDetector::evaluate_window() {
     const std::size_t w = buffer_.size();
     ItscsInput input;
@@ -172,45 +86,13 @@ void StreamingDetector::evaluate_window() {
         }
     }
 
-    bool warm_started = false;
-    if (config_.warm_start) {
-        realign_warm(w);
-        warm_started = !warm_.empty();
-    }
     ItscsResult result =
-        evaluate(input, config_.warm_start ? &warm_ : nullptr);
+        config_.evaluator != nullptr
+            ? config_.evaluator(input, config_.framework, ctx_)
+            : run_itscs(input, config_.framework, {}, ctx_);
 
     WindowReport report;
     report.first_slot = slots_received_ - w;
-    report.warm_started = warm_started;
-    if (warm_started) {
-        ++warm_windows_;
-        if (config_.warm_verify_every > 0 &&
-            warm_windows_ % config_.warm_verify_every == 0) {
-            // Cold reference run of the same window: an empty state makes
-            // the evaluator cold-start yet still record fresh factors, so
-            // a reset can adopt them.
-            report.warm_verified = true;
-            WarmStartState cold;
-            ItscsResult reference = evaluate(input, &cold);
-            const double scale =
-                frobenius_norm(reference.reconstructed_x) +
-                frobenius_norm(reference.reconstructed_y) + 1e-12;
-            report.warm_deviation =
-                (frobenius_distance(result.reconstructed_x,
-                                    reference.reconstructed_x) +
-                 frobenius_distance(result.reconstructed_y,
-                                    reference.reconstructed_y)) /
-                scale;
-            if (report.warm_deviation > config_.warm_verify_tolerance) {
-                result = std::move(reference);
-                warm_ = std::move(cold);
-                report.warm_reset = true;
-                ++warm_resets_;
-            }
-        }
-    }
-
     report.detection = std::move(result.detection);
     report.reconstructed_x = std::move(result.reconstructed_x);
     report.reconstructed_y = std::move(result.reconstructed_y);

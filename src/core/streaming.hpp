@@ -9,14 +9,10 @@
 // as a reusable component with bounded memory (only `window` slots are
 // retained).
 //
-// Consecutive windows overlap by `window - stride` slots, so their CS
-// solves are near-duplicates. With Config::warm_start the detector carries
-// the previous window's L/R factors forward (DESIGN.md §15): the R factor
-// is realigned to the new window's slot axis (rows shift by the stride,
-// new slots extrapolate the last row) and the CORRECT step warm-starts ASD
-// from them instead of re-running nearest-fill + truncated SVD. A periodic
-// verification gate (warm_verify_every) re-evaluates the same window cold
-// and resets the warm state when the two reconstructions drift apart.
+// Consecutive windows overlap by `window - stride` slots, but each
+// evaluation is one cold, self-contained run of Algorithm 1 over the
+// window's own slots (DESIGN.md §15): nothing carries from one window to
+// the next, so a report is a pure function of the slots it covers.
 #pragma once
 
 #include <cstdint>
@@ -29,37 +25,14 @@
 
 namespace mcs {
 
-/// Warm-start state carried between consecutive window evaluations. One
-/// entry per evaluator shard: the sequential default uses a single entry;
-/// FleetRunner's evaluator keeps one per participant shard. The evaluator
-/// owns the interpretation — it reads the previous window's factors on
-/// entry and replaces them with this window's on exit; entries whose
-/// shapes no longer match (shard plan changed, window resized) cold-start
-/// silently. The StreamingDetector realigns each factor's slot axis to the
-/// new window before invoking the evaluator.
-struct WarmStartState {
-    std::vector<ItscsWarmStart> shards;
-
-    bool empty() const {
-        for (const ItscsWarmStart& shard : shards) {
-            if (!shard.empty()) {
-                return false;
-            }
-        }
-        return true;
-    }
-};
-
 /// How a StreamingDetector turns one assembled window into a result.
 /// Defaults to run_itscs (sequential). The runtime subsystem's
 /// FleetRunner::window_evaluator() plugs in here to evaluate the window's
 /// participant shards concurrently at each stride boundary; any evaluator
-/// must be a pure function of (input, config, warm, ctx) so streaming
-/// stays deterministic. `warm` may be null (no warm-start requested);
-/// a non-null empty state means "cold-start and record factors".
+/// must be a pure function of (input, config) so streaming stays
+/// deterministic — `ctx` only accumulates instrumentation.
 using WindowEvaluator = std::function<ItscsResult(
-    const ItscsInput&, const ItscsConfig&, WarmStartState*,
-    PipelineContext*)>;
+    const ItscsInput&, const ItscsConfig&, PipelineContext*)>;
 
 /// One slot of uploads across the fleet. Vectors are indexed by
 /// participant; `observed[i] == 0` marks a missing reading (the
@@ -80,10 +53,6 @@ struct WindowReport {
     Matrix reconstructed_y;
     std::size_t iterations = 0;
     bool converged = false;
-    bool warm_started = false;   ///< previous factors seeded this window
-    bool warm_verified = false;  ///< the cold verification gate ran
-    bool warm_reset = false;     ///< gate tripped; cold result substituted
-    double warm_deviation = 0.0; ///< relative Frobenius warm-vs-cold gap
     /// Participants the evaluator's defence layer confirmed in quarantine
     /// for this window (sorted; empty when no defence is wired in).
     std::vector<std::size_t> quarantined;
@@ -99,16 +68,6 @@ public:
         /// Window evaluation hook; null = run_itscs. The target (e.g. a
         /// FleetRunner) must outlive the detector.
         WindowEvaluator evaluator;
-        /// Carry L/R factors across windows (incremental reconstruction).
-        bool warm_start = false;
-        /// Every k-th warm-started window is re-evaluated cold and the
-        /// relative Frobenius deviation of the two reconstructions is
-        /// gated against warm_verify_tolerance; on a trip the cold result
-        /// replaces the warm one and the warm state resets. 0 disables
-        /// the gate. The gate runs on whatever kernel tier is ambient —
-        /// exact by default, so the reference is the exact-tier solve.
-        std::size_t warm_verify_every = 0;
-        double warm_verify_tolerance = 1e-2;
     };
 
     /// `participants` fixes the fleet size; `tau_s` the slot duration.
@@ -126,9 +85,8 @@ public:
     /// Evaluate the partial tail window: any slots received since the last
     /// stride boundary, provided at least the detector's own median window
     /// is buffered. Used at daemon shutdown so trailing slots that never
-    /// reached a boundary still get a report. Warm factors whose slot axis
-    /// does not match the partial width are dropped (cold-start). Returns
-    /// the number of reports queued (0 or 1).
+    /// reached a boundary still get a report. Returns the number of
+    /// reports queued (0 or 1).
     std::size_t flush();
 
     /// Pop the oldest pending report, if any.
@@ -143,14 +101,9 @@ public:
     std::size_t slots_received() const { return slots_received_; }
     std::size_t reports_pending() const { return reports_.size(); }
     std::size_t participants() const { return participants_; }
-    /// Windows evaluated with a non-empty warm seed / warm resets so far.
-    std::size_t warm_windows() const { return warm_windows_; }
-    std::size_t warm_resets() const { return warm_resets_; }
 
 private:
     void evaluate_window();
-    void realign_warm(std::size_t width);
-    ItscsResult evaluate(const ItscsInput& input, WarmStartState* warm);
 
     std::size_t participants_;
     double tau_s_;
@@ -165,9 +118,6 @@ private:
     std::size_t slots_received_ = 0;
     std::size_t last_eval_slot_ = 0;  // slots_received_ at last evaluation
     std::deque<WindowReport> reports_;
-    WarmStartState warm_;
-    std::size_t warm_windows_ = 0;
-    std::size_t warm_resets_ = 0;
     PipelineContext* ctx_ = nullptr;  // not owned
 };
 

@@ -23,10 +23,16 @@ namespace mcs {
 
 namespace {
 
-// Give `m` the shape rows x cols; allocates only when the shape changes.
-void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
+// Give `m` the shape rows x cols; allocates only when the shape changes,
+// and counts that allocation in workspace_allocations as a Workspace pool
+// miss would be counted.
+void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols,
+                  PipelineCounters* counters) {
     if (m.rows() != rows || m.cols() != cols) {
         m = Matrix(rows, cols);
+        if (counters != nullptr) {
+            counters->workspace_allocations += 1;
+        }
     }
 }
 
@@ -370,14 +376,14 @@ void CsObjective::residuals_into(Residuals& res, const Matrix& l,
     const std::size_t t = cols();
     const bool temporal = temporal_active();
     check_factors(l, r, "CsObjective::residuals_into");
-    ensure_shape(res.m, n, t);
+    ensure_shape(res.m, n, t, ws.counters());
     if (temporal) {
-        ensure_shape(res.e3, n, t);
+        ensure_shape(res.e3, n, t, ws.counters());
     } else {
         res.e3 = Matrix();
     }
     if (grad_r != nullptr) {
-        begin_gradient(Factor::kR, *grad_r, l, r);
+        begin_gradient(Factor::kR, *grad_r, l, r, ws.counters());
     }
     // Each block's rows of X = L·Rᵀ are staged in `x`; with f₃, each row of
     // G then overwrites its row of X once M and E₃ have read it.
@@ -435,7 +441,7 @@ double CsObjective::value_from(const Residuals& res, const Matrix& l,
 void CsObjective::gradient_factor_into(Matrix& g,
                                        const Residuals& res) const {
     check_residuals(res, "CsObjective::gradient_factor_into");
-    ensure_shape(g, rows(), cols());
+    ensure_shape(g, rows(), cols(), nullptr);
     if (!temporal_active()) {
         copy_into(g, res.m);
         return;
@@ -445,13 +451,14 @@ void CsObjective::gradient_factor_into(Matrix& g,
 }
 
 void CsObjective::begin_gradient(Factor which, Matrix& grad, const Matrix& l,
-                                 const Matrix& r) const {
+                                 const Matrix& r,
+                                 PipelineCounters* counters) const {
     check_factors(l, r, "CsObjective::begin_gradient");
     if (which == Factor::kL) {
-        ensure_shape(grad, l.rows(), l.cols());
+        ensure_shape(grad, l.rows(), l.cols(), counters);
         return;
     }
-    ensure_shape(grad, r.rows(), r.cols());
+    ensure_shape(grad, r.rows(), r.cols(), counters);
     grad.fill(0.0);
 }
 
@@ -491,7 +498,7 @@ void CsObjective::gradient_into(Factor which, Matrix& grad,
     check_residuals(res, "CsObjective::gradient_into");
     const std::size_t t = cols();
     const bool temporal = temporal_active();
-    begin_gradient(which, grad, l, r);
+    begin_gradient(which, grad, l, r, ws.counters());
     Scratch g(ws, kAsdRowBlock, t);
     for_each_block(rows(), [&](std::size_t lo, std::size_t hi) {
         if (temporal) {
@@ -573,7 +580,7 @@ CsObjective::LineSearch CsObjective::line_search(const Residuals& res,
                   "CsObjective::line_search: " + a.shape_string() +
                       " has not the data's " + std::to_string(rows()) +
                       " rows");
-    ensure_shape(p, rows(), t);
+    ensure_shape(p, rows(), t, ws.counters());
     // P = a·bᵀ on the register-blocked row kernel: bᵀ (rank×t) is
     // materialised once, and each block's rows are one multiply.
     Scratch bt(ws, b.cols(), b.rows());
@@ -628,7 +635,7 @@ void CsObjective::step_pass(Residuals& res, const Matrix& p, double alpha,
                       ", got " + p.shape_string());
     check_residuals(res, "CsObjective::step_pass");
     if (next_grad != nullptr) {
-        begin_gradient(next, *next_grad, l, r);
+        begin_gradient(next, *next_grad, l, r, ws.counters());
     }
     Scratch g(ws, kAsdRowBlock, t);
     for_each_block(rows(), [&](std::size_t lo, std::size_t hi) {

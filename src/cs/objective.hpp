@@ -61,7 +61,8 @@ public:
     // and G is never stored whole. The n×t buffers are M, E₃ and P; ℬ is
     // held as bytes. Every other buffer is caller-owned or comes from the
     // caller's Workspace, (re)shaped on first use and reused verbatim
-    // afterwards, so a warm ASD loop never touches the heap. The sweeps
+    // afterwards, so a warm ASD loop never touches the heap; a reshape
+    // counts in the Workspace's workspace_allocations. The sweeps
     // are plain loops with a fixed summation order (four columns to an
     // AVX2 register where the CPU has one, never FMA), so they give the
     // same bits under every kernel tier, thread count and machine.
@@ -84,8 +85,9 @@ public:
                       const Matrix& r) const;
 
     /// G = M + λ₂·Δᵀ(E₃), the data-sized factor of both gradients (M
-    /// itself when f₃ is inactive), formed whole on demand. The half
-    /// steps form it a block at a time and never store it.
+    /// itself when f₃ is inactive), formed whole on demand, outside any
+    /// Workspace (so a reshape of `g` is not counted). The half steps
+    /// form it a block at a time and never store it.
     void gradient_factor_into(Matrix& g, const Residuals& res) const;
 
     /// ∇_L f = 2·G·R + 2λ₁·L and ∇_R f = 2·Gᵀ·L + 2λ₁·R into `grad`,
@@ -156,7 +158,7 @@ private:
     /// for ∇_R zero) it, add the rows [lo, hi) of G held in `g`, and add
     /// ∇_R's factor 2 and λ₁ term once every block is in.
     void begin_gradient(Factor which, Matrix& grad, const Matrix& l,
-                        const Matrix& r) const;
+                        const Matrix& r, PipelineCounters* counters) const;
     void add_gradient_rows(Factor which, ConstRows g, std::size_t lo,
                            std::size_t hi, const Matrix& l, const Matrix& r,
                            Matrix& grad, PipelineCounters* counters) const;

@@ -200,13 +200,12 @@ void apply_outage_labels(Matrix& detection, const Matrix& existence,
 // and `sctx` its private context.
 void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
                       std::size_t s, ItscsInput& si, PipelineContext& sctx,
-                      const ItscsWarmStart* warm_seed,
                       ShardRunReport& report, ItscsResult& result) {
     const std::size_t rows = si.sx.rows();
     const std::size_t t = si.sx.cols();
 
     if (!rcfg.guard) {
-        result = run_itscs(si, config, {}, &sctx, warm_seed);
+        result = run_itscs(si, config, {}, &sctx);
         report.iterations = result.iterations;
         report.converged = result.converged;
         return;
@@ -262,11 +261,7 @@ void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
                 throw Error("chaos: injected task failure");
             }
             if (scan_input()) {
-                // Warm factors seed the nominal attempt only: the
-                // conservative rung runs at a different rank, so they
-                // could not match anyway.
-                result = run_itscs(si, cfg, {}, &sctx,
-                                   first_attempt ? warm_seed : nullptr);
+                result = run_itscs(si, cfg, {}, &sctx);
             }
         } catch (const std::exception& e) {
             monitor.fail(FailureKind::kTaskException, "run_itscs", 0,
@@ -376,14 +371,12 @@ public:
     // count as a corrupt frame.
     virtual bool restore(std::size_t s, const ShardCheckpoint& record) = 0;
 
-    // Fill the arena buffers of `si` with shard s's input and return the
-    // factors that seed its nominal attempt (null = cold start). `next` is
-    // the shard this worker runs after s, or kNone.
-    virtual const ItscsWarmStart* stage(std::size_t s, std::size_t next,
-                                        ItscsInput& si) = 0;
+    // Fill the arena buffers of `si` with shard s's input. `next` is the
+    // shard this worker runs after s, or kNone.
+    virtual void stage(std::size_t s, std::size_t next, ItscsInput& si) = 0;
 
-    virtual void write(std::size_t s, const ShardRunReport& report,
-                       ItscsResult& result, PipelineContext& sctx) = 0;
+    virtual void write(std::size_t s, ItscsResult& result,
+                       PipelineContext& sctx) = 0;
 
     // The result payload of shard s's journal record.
     virtual void journal(std::size_t s, const ItscsResult& result,
@@ -395,13 +388,12 @@ public:
 
 // In-core source/sink: slices shard rows out of the fleet matrices and
 // scatters results into the fleet-sized aggregate, which only this class
-// allocates. Journal records carry the shard's result matrices, and the
-// per-shard warm factors (DESIGN.md §15) are read and refreshed here.
+// allocates. Journal records carry the shard's result matrices.
 class InCoreShards final : public ShardIo {
 public:
     InCoreShards(const ItscsInput& input, const ShardPlan& plan,
-                 WarmStartState* warm, ItscsResult& aggregate)
-        : input_(input), plan_(plan), warm_(warm), aggregate_(aggregate) {
+                 ItscsResult& aggregate)
+        : input_(input), plan_(plan), aggregate_(aggregate) {
         const std::size_t n = input.sx.rows();
         const std::size_t t = input.sx.cols();
         aggregate.detection = Matrix(n, t);
@@ -436,8 +428,8 @@ public:
         return true;
     }
 
-    const ItscsWarmStart* stage(std::size_t s, std::size_t /*next*/,
-                                ItscsInput& si) override {
+    void stage(std::size_t s, std::size_t /*next*/,
+               ItscsInput& si) override {
         const Shard& shard = shards()[s];
         slice_rows(si.sx, input_.sx, shard);
         slice_rows(si.sy, input_.sy, shard);
@@ -445,27 +437,10 @@ public:
         slice_rows(si.vy, input_.vy, shard);
         slice_rows(si.existence, input_.existence, shard);
         si.tau_s = input_.tau_s;
-        // Per-shard warm factors: entries are disjoint elements of a
-        // pre-sized vector, so workers touch disjoint memory.
-        if (warm_ == nullptr || warm_->shards[s].empty()) {
-            return nullptr;
-        }
-        return &warm_->shards[s];
     }
 
-    void write(std::size_t s, const ShardRunReport& report,
-               ItscsResult& result, PipelineContext& /*sctx*/) override {
-        if (warm_ != nullptr) {
-            ItscsWarmStart& warm = warm_->shards[s];
-            if (report.level == DegradationLevel::kNominal) {
-                warm.x = std::move(result.factors_x);
-                warm.y = std::move(result.factors_y);
-            } else {
-                // A degraded window produced no trustworthy factors; the
-                // next window cold-starts this shard.
-                warm = ItscsWarmStart{};
-            }
-        }
+    void write(std::size_t s, ItscsResult& result,
+               PipelineContext& /*sctx*/) override {
         scatter(s, result.detection, result.reconstructed_x,
                 result.reconstructed_y);
     }
@@ -492,7 +467,6 @@ private:
 
     const ItscsInput& input_;
     const ShardPlan& plan_;
-    WarmStartState* warm_;
     ItscsResult& aggregate_;
 };
 
@@ -539,8 +513,7 @@ public:
                record.output_slab_crc == store_.output_crc(s);
     }
 
-    const ItscsWarmStart* stage(std::size_t s, std::size_t next,
-                                ItscsInput& si) override {
+    void stage(std::size_t s, std::size_t next, ItscsInput& si) override {
         // Overlap the next scheduled shard's page-in with this shard's
         // compute; madvise does the rest.
         if (next != kNone) {
@@ -551,11 +524,10 @@ public:
             si.vy.data().data(), si.existence.data().data()};
         store_.read_inputs(s, mats);
         si.tau_s = store_.geometry().tau_s;
-        return nullptr;
     }
 
-    void write(std::size_t s, const ShardRunReport& /*report*/,
-               ItscsResult& result, PipelineContext& sctx) override {
+    void write(std::size_t s, ItscsResult& result,
+               PipelineContext& sctx) override {
         const double* mats[kSlabOutputMatrices] = {
             result.detection.data().data(),
             result.reconstructed_x.data().data(),
@@ -724,16 +696,15 @@ void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
         si.vx = ws.acquire(rows, t);
         si.vy = ws.acquire(rows, t);
         si.existence = ws.acquire(rows, t);
-        const ItscsWarmStart* warm_seed = io.stage(s, next, si);
+        io.stage(s, next, si);
 
         ShardRunReport& report = out.shards[s];
         report.shard = shard;
         report.seed = seeds[s];
 
         ItscsResult result;
-        run_shard_ladder(rcfg, config, s, si, contexts[s], warm_seed, report,
-                         result);
-        io.write(s, report, result, contexts[s]);
+        run_shard_ladder(rcfg, config, s, si, contexts[s], report, result);
+        io.write(s, result, contexts[s]);
 
         if (store != nullptr) {
             // Count the commit first so the journaled counter snapshot
@@ -891,14 +862,8 @@ ShardPlan FleetRunner::plan_for(const ItscsInput& input) const {
 }
 
 FleetResult FleetRunner::run(const ItscsInput& input,
-                             const ItscsConfig& config,
-                             PipelineContext* ctx) {
-    return run(input, config, nullptr, ctx);
-}
-
-FleetResult FleetRunner::run(const ItscsInput& input,
                              const ItscsConfig& base_config,
-                             WarmStartState* warm, PipelineContext* ctx) {
+                             PipelineContext* ctx) {
     // Structured adversary: transform the fleet once, on the calling
     // thread, before any shard boundary exists — collusion and replay are
     // cross-participant, so applying them per shard would change the
@@ -910,20 +875,19 @@ FleetResult FleetRunner::run(const ItscsInput& input,
         AdversaryInjection injection = config_.adversary->apply(
             transformed.sx, transformed.sy, transformed.vx, transformed.vy,
             transformed.existence, transformed.tau_s);
-        FleetResult out = run_defended(transformed, base_config, warm, ctx);
+        FleetResult out = run_defended(transformed, base_config, ctx);
         out.adversary = std::move(injection);
         return out;
     }
-    return run_defended(input, base_config, warm, ctx);
+    return run_defended(input, base_config, ctx);
 }
 
 FleetResult FleetRunner::run_defended(const ItscsInput& input,
                                       const ItscsConfig& base_config,
-                                      WarmStartState* warm,
                                       PipelineContext* ctx) {
     if (config_.defense == nullptr || config_.defense->spec().idle()) {
         // No defence, no deviation: this is the exact pre-defence path.
-        return run_sharded(input, base_config, warm, ctx,
+        return run_sharded(input, base_config, ctx,
                            /*allow_checkpoint=*/true);
     }
     const DefenseSuite& defense = *config_.defense;
@@ -950,7 +914,7 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
         // Nothing to quarantine: one plain sharded run, bit-identical to
         // a defence-off run apart from the outage relabel (which is a
         // no-op unless a dark block was classified).
-        FleetResult out = run_sharded(input, base_config, warm, ctx,
+        FleetResult out = run_sharded(input, base_config, ctx,
                                       /*allow_checkpoint=*/true);
         apply_outage_labels(out.aggregate.detection, input.existence, report);
         charge(report);
@@ -964,7 +928,7 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
     // solve without the confirmed rows.
     ItscsInput honest = input;
     mask_rows(honest, report.quarantined);
-    FleetResult honest_run = run_sharded(honest, base_config, nullptr, ctx,
+    FleetResult honest_run = run_sharded(honest, base_config, ctx,
                                          /*allow_checkpoint=*/false);
     {
         PipelineContext::PhaseScope scope(ctx, "defense");
@@ -975,17 +939,17 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
 
     FleetResult out;
     if (report.confirmed.size() == report.quarantined.size() &&
-        config_.checkpoint_dir.empty() && warm == nullptr) {
+        config_.checkpoint_dir.empty()) {
         // Every flagged row was confirmed, so the final input equals the
         // honest input — reuse that solve instead of repeating it.
         out = std::move(honest_run);
     } else if (report.confirmed.empty()) {
-        out = run_sharded(input, base_config, warm, ctx,
+        out = run_sharded(input, base_config, ctx,
                           /*allow_checkpoint=*/true);
     } else {
         ItscsInput final_input = input;
         mask_rows(final_input, report.confirmed);
-        out = run_sharded(final_input, base_config, warm, ctx,
+        out = run_sharded(final_input, base_config, ctx,
                           /*allow_checkpoint=*/true);
     }
 
@@ -1010,7 +974,6 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
 
 FleetResult FleetRunner::run_sharded(const ItscsInput& input,
                                      const ItscsConfig& config,
-                                     WarmStartState* warm,
                                      PipelineContext* ctx,
                                      bool allow_checkpoint) {
     // Guarded runs defer the finite-value scan to each shard's ladder so a
@@ -1023,22 +986,8 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
     }
     const ShardPlan plan = plan_for(input);
 
-    if (warm != nullptr) {
-        // Journaled shard records carry no factors, so a resumed run could
-        // not reproduce the warm state — refuse the combination instead of
-        // silently diverging between crashed and uninterrupted runs.
-        MCS_CHECK_MSG(config_.checkpoint_dir.empty(),
-                      "FleetRunner: warm-start state cannot be combined "
-                      "with checkpoint_dir");
-        if (warm->shards.size() != plan.count()) {
-            // First window (or the shard plan changed): cold-start every
-            // shard and start recording factors at the new decomposition.
-            warm->shards.assign(plan.count(), ItscsWarmStart{});
-        }
-    }
-
     FleetResult out;
-    InCoreShards io(input, plan, warm, out.aggregate);
+    InCoreShards io(input, plan, out.aggregate);
     run_shards(config_, pool_.get(), threads_, workspaces_, io, config,
                allow_checkpoint, ctx, out);
     return out;
@@ -1147,9 +1096,8 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
 
 WindowEvaluator FleetRunner::window_evaluator() {
     return [this](const ItscsInput& input, const ItscsConfig& config,
-                  WarmStartState* warm,
                   PipelineContext* ctx) -> ItscsResult {
-        return run(input, config, warm, ctx).aggregate;
+        return run(input, config, ctx).aggregate;
     };
 }
 

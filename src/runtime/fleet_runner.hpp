@@ -236,20 +236,6 @@ public:
     FleetResult run(const ItscsInput& input, const ItscsConfig& config,
                     PipelineContext* ctx = nullptr);
 
-    /// Same, with streaming warm-start state (DESIGN.md §15). A non-null
-    /// `warm` holds one ItscsWarmStart per shard (resized to the plan on
-    /// entry; a size mismatch simply cold-starts every shard): each
-    /// shard's nominal attempt seeds its CORRECT solves from its entry,
-    /// and after the barrier the entry is replaced by the shard's final
-    /// factors — or cleared when the shard degraded, so a degraded window
-    /// never seeds the next one. Factors are per-shard (shard-local L, own
-    /// R), so the aggregate's factors_x/factors_y stay empty — fleet-wide
-    /// factors cannot be stitched from per-shard decompositions.
-    /// Refused alongside checkpoint_dir: journaled shard records do not
-    /// carry warm factors, so a resumed run could not reproduce them.
-    FleetResult run(const ItscsInput& input, const ItscsConfig& config,
-                    WarmStartState* warm, PipelineContext* ctx = nullptr);
-
     /// Stream every shard of an out-of-core slab store through the
     /// I(TS,CS) pipeline (DESIGN.md §18): inputs are staged per shard
     /// from the store's mmap, results written back to the store's output
@@ -312,15 +298,14 @@ private:
     /// this is exactly one run_sharded call — the clean path is untouched.
     FleetResult run_defended(const ItscsInput& input,
                              const ItscsConfig& base_config,
-                             WarmStartState* warm, PipelineContext* ctx);
+                             PipelineContext* ctx);
 
     /// The in-core run: validates and plans `input` (post-adversary and
     /// post-quarantine), then runs the shard loop that run_streamed shares.
     /// `allow_checkpoint` gates the durable journal: only the *final*
     /// solve of a defended run checkpoints.
     FleetResult run_sharded(const ItscsInput& input,
-                            const ItscsConfig& config,
-                            WarmStartState* warm, PipelineContext* ctx,
+                            const ItscsConfig& config, PipelineContext* ctx,
                             bool allow_checkpoint);
 
     RuntimeConfig config_;

@@ -46,9 +46,6 @@ StreamingDetector::Config build_detector(const ServeConfig& config,
     dc.stride = config.stride;
     dc.framework = config.framework;
     dc.evaluator = runner.window_evaluator();
-    dc.warm_start = config.warm_start;
-    dc.warm_verify_every = config.warm_verify_every;
-    dc.warm_verify_tolerance = config.warm_verify_tolerance;
     return dc;
 }
 
@@ -93,6 +90,12 @@ std::string validate_upload(const SlotUpload& upload, std::size_t n) {
         }
     }
     return "";
+}
+
+double ms_since(std::chrono::steady_clock::time_point begin) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - begin)
+        .count();
 }
 
 }  // namespace
@@ -189,8 +192,8 @@ std::vector<std::size_t> IngestDaemon::quarantined() const {
 
 // Journal recovery: scan, report and drop what a crash left behind, refuse
 // a journal recorded for a different stream, then re-ingest every
-// surviving slot so the detector's window, warm state and report sequence
-// continue exactly where the dead process stopped.
+// surviving slot so the detector's window and report sequence continue
+// exactly where the dead process stopped.
 void IngestDaemon::replay_journal() {
     FrameScan scan = scan_frames(config_.journal_path);
     {
@@ -274,7 +277,7 @@ SlotUpload IngestDaemon::blank_slot() const {
 }
 
 // Consumer-thread ingest of one live upload: slotloss chaos, boundary
-// validation, journal append, timed detector push.
+// validation, timed journal append, timed detector push.
 void IngestDaemon::process(SlotUpload upload) {
     std::size_t ordinal = 0;
     {
@@ -329,18 +332,26 @@ void IngestDaemon::process(SlotUpload upload) {
             failures_.push_back(std::move(report));
         }
     }
+    double append_ms = 0.0;
     if (writer_ != nullptr) {
+        const auto begin = std::chrono::steady_clock::now();
         writer_->append(encode_slot_upload(upload));
+        append_ms = ms_since(begin);
     }
+    const std::size_t pending = detector_.reports_pending();
     const auto begin = std::chrono::steady_clock::now();
     detector_.push_slot(upload);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - begin)
-                          .count();
+    const double push_ms = ms_since(begin);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.uploads_accepted;
-        stats_.slot_latency_ms.record(ms);
+        stats_.slot_latency_ms.record(push_ms);
+        if (detector_.reports_pending() > pending) {
+            stats_.window_eval_ms.record(push_ms);
+        }
+        if (writer_ != nullptr) {
+            stats_.journal_append_ms.record(append_ms);
+        }
     }
     pump_reports();
 }
@@ -361,8 +372,6 @@ void IngestDaemon::pump_reports() {
         pending_.push_back(std::move(*report));
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.windows_warm = detector_.warm_windows();
-    stats_.warm_resets = detector_.warm_resets();
     stats_.shards_stolen = ctx_.counters().shards_stolen;
 }
 

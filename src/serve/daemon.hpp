@@ -7,17 +7,18 @@
 // or non-finite upload becomes a kRejectedUpload FailureReport instead of
 // corrupting the window), appends it to a CRC-framed ingest journal
 // (persist/frame_io), and feeds it to a StreamingDetector whose windows
-// evaluate shard-parallel through an owned FleetRunner. Consecutive
-// windows warm-start ASD from the previous window's factors.
+// evaluate shard-parallel through an owned FleetRunner. Every window is
+// one cold run of Algorithm 1 over its own slots: no state carries from
+// one window to the next.
 //
 // Crash recovery: the journal *is* the durable state. On start() with
 // resume, the journal is scanned (corrupt frames skipped and reported,
 // torn tail truncated, the file compacted), its header is handshaken
 // against this daemon's configuration, and every surviving slot is
 // re-pushed — without re-journaling — through the same detector. Because
-// evaluation is a deterministic function of the slot sequence, a daemon
-// killed mid-window regenerates the exact window state and its subsequent
-// WindowReports are bit-identical to an uninterrupted run's.
+// each window's evaluation is a deterministic function of its own slots,
+// a daemon killed mid-window regenerates the exact window state and its
+// subsequent WindowReports are bit-identical to an uninterrupted run's.
 #pragma once
 
 #include <cstddef>
@@ -53,10 +54,10 @@ struct ServeConfig {
     std::string journal_path;
     /// Scan + replay the journal in start() instead of truncating it.
     bool resume = false;
-    /// Carry CS factors across windows (StreamingDetector::Config).
-    bool warm_start = true;
-    std::size_t warm_verify_every = 0;
-    double warm_verify_tolerance = 1e-2;
+    /// Inert: the daemon ignores it and evaluates every window cold. Kept
+    /// only so that existing callers that still assign it compile; it
+    /// goes in a later change.
+    bool warm_start = false;
     /// Bound on queued uploads; producers block when it is reached.
     std::size_t queue_capacity = 256;
     /// Drop every k-th accepted upload (an all-unobserved slot is ingested
@@ -68,15 +69,18 @@ struct ServeConfig {
 };
 
 /// Observable state of one daemon run. Latencies are live slots only
-/// (replayed slots are bookkeeping, not service time).
+/// (replayed slots are bookkeeping, not service time). Each latency record
+/// is a fixed-size LatencyHistogram, so a long-running daemon's stats stay
+/// bounded.
 struct ServeStats {
     std::size_t uploads_accepted = 0;  ///< validated, journaled, ingested
     std::size_t uploads_rejected = 0;  ///< refused with a FailureReport
     std::size_t slots_dropped = 0;     ///< slotloss chaos replacements
     std::size_t slots_replayed = 0;    ///< re-ingested from the journal
     std::size_t windows_evaluated = 0;
-    std::size_t windows_warm = 0;      ///< evaluated with a warm seed
-    std::size_t warm_resets = 0;       ///< verification-gate trips
+    /// Inert: always 0, since no window is warm-started. Kept only for
+    /// existing readers; it goes in a later change.
+    std::size_t windows_warm = 0;
     /// Participants the defence confirmed in quarantine (sticky for the
     /// daemon's lifetime — an enforced participant uploads nothing, so it
     /// can never demonstrate innocence to a later window).
@@ -91,10 +95,17 @@ struct ServeStats {
     std::size_t shards_stolen = 0;
     std::size_t journal_corrupt_frames = 0;
     bool journal_torn_tail = false;
-    /// Wall times of the live push_slots (ms) in a fixed-size histogram;
-    /// stride-boundary slots carry their window's evaluation, so the p99
-    /// is the evaluation latency.
+    /// Wall times of the live push_slots (ms); stride-boundary slots
+    /// carry their window's evaluation, so the p99 is the evaluation
+    /// latency.
     LatencyHistogram slot_latency_ms;
+    /// Wall times (ms) of the live push_slots that queued a report: the
+    /// window evaluations alone. Windows evaluated by a journal replay or
+    /// the tail flush are not timed.
+    LatencyHistogram window_eval_ms;
+    /// Wall times (ms) of the live uploads' journal appends (none without
+    /// a journal).
+    LatencyHistogram journal_append_ms;
 };
 
 /// The ingestion daemon. Lifecycle: construct → start() → submit()× →

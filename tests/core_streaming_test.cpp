@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -10,9 +11,9 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/context.hpp"
 #include "corruption/scenario.hpp"
 #include "metrics/confusion.hpp"
+#include "runtime/fleet_runner.hpp"
 #include "trace/simulator.hpp"
 
 namespace mcs {
@@ -207,85 +208,83 @@ TEST(Streaming, FlushEvaluatesPartialTail) {
     EXPECT_EQ(tiny.flush(), 0u);
 }
 
-// The acceptance bar for cross-window warm starts: same detections as a
-// cold run (F1 within 0.01), measurably fewer ASD iterations (counters).
-TEST(Streaming, WarmStartMatchesColdAndSavesAsdIterations) {
-    const TraceDataset truth = make_small_dataset(7, 16, 100);
+bool same_bits(const Matrix& a, const Matrix& b) {
+    if (a.rows() != b.rows() || a.cols() != b.cols()) {
+        return false;
+    }
+    for (std::size_t k = 0; k < a.data().size(); ++k) {
+        if (std::bit_cast<std::uint64_t>(a.data()[k]) !=
+            std::bit_cast<std::uint64_t>(b.data()[k])) {
+            return false;
+        }
+    }
+    return true;
+}
+
+// Every window is one cold run of Algorithm 1 over its own slots: each
+// report of a stream evaluated through FleetRunner's window evaluator is
+// bit-identical to the report of a fresh detector fed only that window's
+// slots, at 1 and 2 worker threads, the flushed tail window included.
+TEST(Streaming, EachWindowDependsOnlyOnItsOwnSlots) {
+    const std::size_t n = 16;
+    const std::size_t slots = 95;  // windows close at 40, 55, 70, 85; the
+                                   // flush evaluates slots 55..94
+    const TraceDataset truth = make_small_dataset(7, n, slots);
     CorruptionConfig corruption;
     corruption.missing_ratio = 0.15;
     corruption.fault_ratio = 0.15;
     const CorruptedDataset data = corrupt(truth, corruption);
 
-    StreamingDetector::Config config;
-    config.window = 40;
-    config.stride = 15;
+    RuntimeConfig reference_runtime;
+    reference_runtime.shard_size = 8;
+    FleetRunner reference(reference_runtime);
 
-    struct Run {
+    for (const std::size_t threads : {1u, 2u}) {
+        RuntimeConfig runtime = reference_runtime;
+        runtime.threads = threads;
+        FleetRunner runner(runtime);
+        StreamingDetector::Config config;
+        config.window = 40;
+        config.stride = 15;
+        config.evaluator = runner.window_evaluator();
+        StreamingDetector stream(n, truth.tau_s, config);
         std::vector<WindowReport> reports;
-        std::uint64_t asd_iterations = 0;
-        std::size_t warm_windows = 0;
-    };
-    const auto run = [&](bool warm) {
-        StreamingDetector::Config c = config;
-        c.warm_start = warm;
-        PipelineContext ctx;
-        StreamingDetector detector(16, truth.tau_s, c);
-        detector.attach_context(&ctx);
-        Run out;
-        for (std::size_t j = 0; j < truth.slots(); ++j) {
-            detector.push_slot(slot_of(data, j));
-            while (auto report = detector.poll()) {
-                out.reports.push_back(std::move(*report));
+        for (std::size_t j = 0; j < slots; ++j) {
+            stream.push_slot(slot_of(data, j));
+            while (auto report = stream.poll()) {
+                reports.push_back(std::move(*report));
             }
         }
-        out.asd_iterations = ctx.counters().asd_iterations;
-        out.warm_windows = detector.warm_windows();
-        return out;
-    };
-    const Run cold = run(false);
-    const Run warm = run(true);
+        ASSERT_EQ(stream.flush(), 1u);
+        reports.push_back(*stream.poll());
+        ASSERT_EQ(reports.size(), 5u);
+        EXPECT_EQ(reports.back().first_slot, 55u);
 
-    ASSERT_EQ(cold.reports.size(), warm.reports.size());
-    ASSERT_GT(cold.reports.size(), 1u);
-    EXPECT_EQ(cold.warm_windows, 0u);
-    EXPECT_EQ(warm.warm_windows, warm.reports.size() - 1);
-
-    // Warm seeding must pay for itself: strictly fewer ASD iterations
-    // across the stream (the first window is identical; every later one
-    // starts from the refreshed previous factors).
-    EXPECT_LT(warm.asd_iterations, cold.asd_iterations)
-        << "warm " << warm.asd_iterations << " vs cold "
-        << cold.asd_iterations;
-
-    // ...and must not change what gets detected: per-window F1 of warm
-    // and cold against ground truth within 0.01 of each other.
-    const auto f1_of = [&](const WindowReport& report) {
-        ConfusionCounts counts;
-        for (std::size_t i = 0; i < 16; ++i) {
-            for (std::size_t k = 0; k < report.detection.cols(); ++k) {
-                const std::size_t column = report.first_slot + k;
-                if (data.existence(i, column) == 0.0) {
-                    continue;
-                }
-                const bool flagged = report.detection(i, k) != 0.0;
-                const bool faulty = data.fault(i, column) != 0.0;
-                if (flagged && faulty) {
-                    ++counts.true_positive;
-                } else if (flagged) {
-                    ++counts.false_positive;
-                } else if (faulty) {
-                    ++counts.false_negative;
-                } else {
-                    ++counts.true_negative;
-                }
+        for (const WindowReport& report : reports) {
+            StreamingDetector::Config alone_config = config;
+            alone_config.evaluator = reference.window_evaluator();
+            StreamingDetector alone(n, truth.tau_s, alone_config);
+            for (std::size_t k = 0; k < config.window; ++k) {
+                alone.push_slot(slot_of(data, report.first_slot + k));
             }
+            const std::optional<WindowReport> want = alone.poll();
+            ASSERT_TRUE(want.has_value());
+            EXPECT_EQ(want->first_slot, 0u);
+            EXPECT_TRUE(same_bits(report.detection, want->detection))
+                << "threads " << threads << ", window at slot "
+                << report.first_slot;
+            EXPECT_TRUE(
+                same_bits(report.reconstructed_x, want->reconstructed_x))
+                << "threads " << threads << ", window at slot "
+                << report.first_slot;
+            EXPECT_TRUE(
+                same_bits(report.reconstructed_y, want->reconstructed_y))
+                << "threads " << threads << ", window at slot "
+                << report.first_slot;
+            EXPECT_EQ(report.iterations, want->iterations);
+            EXPECT_EQ(report.converged, want->converged);
+            EXPECT_EQ(report.quarantined, want->quarantined);
         }
-        return counts.f1();
-    };
-    for (std::size_t k = 0; k < cold.reports.size(); ++k) {
-        EXPECT_EQ(cold.reports[k].first_slot, warm.reports[k].first_slot);
-        EXPECT_NEAR(f1_of(cold.reports[k]), f1_of(warm.reports[k]), 0.01)
-            << "window at slot " << cold.reports[k].first_slot;
     }
 }
 

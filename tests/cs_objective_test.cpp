@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/context.hpp"
 #include "common/rng.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/temporal.hpp"
@@ -331,6 +332,37 @@ TEST(CsObjective, MasksSensoryValuesAtUntrustedCells) {
             }
         }
     }
+}
+
+// Buffers the objective grows itself — M, E₃, a gradient, the line
+// search's P — count in workspace_allocations as the Workspace's own pool
+// misses do, and a buffer that already has its shape costs nothing.
+TEST(CsObjective, ReshapedBuffersCountAsWorkspaceAllocations) {
+    const Problem p = make_problem(40, 12, 3, 9);
+    const CsObjective objective(p.s, p.gbim, p.velocity, 30.0, 1e-3, 0.5,
+                                TemporalMode::kVelocity);
+    PipelineCounters counters;
+    Workspace ws(&counters);
+    // Warm the pool: afterwards it holds every block buffer of both walks.
+    CsObjective::Residuals warm_res;
+    Matrix warm_grad;
+    Matrix warm_p;
+    objective.residuals_into(warm_res, p.l, p.r, ws, &warm_grad);
+    objective.line_search_r(warm_res, p.l, p.r, warm_grad, warm_p, ws);
+    const std::uint64_t pooled = counters.workspace_allocations;
+
+    // Empty destinations of the same shapes: M, E₃ and ∇_R, then P.
+    CsObjective::Residuals res;
+    Matrix grad;
+    Matrix product;
+    objective.residuals_into(res, p.l, p.r, ws, &grad);
+    EXPECT_EQ(counters.workspace_allocations, pooled + 3);
+    objective.line_search_r(res, p.l, p.r, grad, product, ws);
+    EXPECT_EQ(counters.workspace_allocations, pooled + 4);
+
+    objective.residuals_into(res, p.l, p.r, ws, &grad);
+    objective.line_search_r(res, p.l, p.r, grad, product, ws);
+    EXPECT_EQ(counters.workspace_allocations, pooled + 4);
 }
 
 TEST(CsObjective, InvalidInputsRejected) {

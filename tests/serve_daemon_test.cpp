@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -282,8 +283,9 @@ TEST(IngestDaemon, EvaluatesWindowsAndFlushesPartialTail) {
         EXPECT_EQ(reports[k].detection.rows(), 10u);
         EXPECT_EQ(reports[k].detection.cols(), 24u);
     }
-    // Windows 2..4 ran with a warm seed carried from their predecessor.
-    EXPECT_EQ(daemon.stats().windows_warm, 3u);
+    // Every evaluation ran on a live push; no journal, nothing appended.
+    EXPECT_EQ(daemon.stats().window_eval_ms.count(), 4u);
+    EXPECT_EQ(daemon.stats().journal_append_ms.count(), 0u);
 
     // 6 extra slots leave an uncovered tail; finish() evaluates the last
     // (full-width) buffer once more.
@@ -297,46 +299,73 @@ TEST(IngestDaemon, EvaluatesWindowsAndFlushesPartialTail) {
     ASSERT_EQ(tail_reports.size(), 4u);  // 24, 36, 48 + flushed tail
     EXPECT_EQ(tail_reports.back().first_slot, 30u);
     EXPECT_EQ(tail_reports.back().detection.cols(), 24u);
+    // The flushed tail is not a live push, so it is not timed.
+    EXPECT_EQ(tail_daemon.stats().windows_evaluated, 4u);
+    EXPECT_EQ(tail_daemon.stats().window_eval_ms.count(), 3u);
 }
 
-// ---- Warm-start verification gate --------------------------------------
-
-TEST(IngestDaemon, WarmVerificationGateResetsOnImpossibleTolerance) {
-    const CorruptedDataset data = make_stream(5, 10, 48);
-    ServeConfig config = small_config(10);
-    config.tau_s = data.tau_s;
-    config.warm_verify_every = 1;
-    // An unreachable tolerance forces every verified warm window to adopt
-    // the cold reference — the gate's fail-safe path.
-    config.warm_verify_tolerance = 1e-15;
-    IngestDaemon daemon(config);
-    daemon.start();
-    for (std::size_t j = 0; j < 48; ++j) {
-        daemon.submit(slot_of(data, j));
+bool same_bits(const Matrix& a, const Matrix& b) {
+    if (a.rows() != b.rows() || a.cols() != b.cols()) {
+        return false;
     }
-    daemon.finish();
-    const auto reports = daemon.drain();
-    ASSERT_EQ(reports.size(), 3u);
-    const ServeStats stats = daemon.stats();
-    EXPECT_GE(stats.warm_resets, 1u);
-    bool saw_verified = false;
-    for (const auto& report : reports) {
-        if (report.warm_verified) {
-            saw_verified = true;
-            EXPECT_GE(report.warm_deviation, 0.0);
+    for (std::size_t k = 0; k < a.data().size(); ++k) {
+        if (std::bit_cast<std::uint64_t>(a.data()[k]) !=
+            std::bit_cast<std::uint64_t>(b.data()[k])) {
+            return false;
         }
     }
-    EXPECT_TRUE(saw_verified);
+    return true;
+}
 
-    // A generous tolerance keeps every warm window.
-    config.warm_verify_tolerance = 1e9;
-    IngestDaemon lenient(config);
-    lenient.start();
-    for (std::size_t j = 0; j < 48; ++j) {
-        lenient.submit(slot_of(data, j));
+// The daemon serves every window cold: each report, at 1 and 2 worker
+// threads, is bit-identical to the report of a fresh detector fed only
+// that window's slots through a fresh runner.
+TEST(IngestDaemon, EachWindowDependsOnlyOnItsOwnSlots) {
+    const CorruptedDataset data = make_stream(31, 10, 60);
+    for (const std::size_t threads : {1u, 2u}) {
+        ServeConfig config = small_config(10);
+        config.tau_s = data.tau_s;
+        config.runtime.threads = threads;
+        config.runtime.shard_count = 0;
+        config.runtime.shard_size = 5;
+        IngestDaemon daemon(config);
+        daemon.start();
+        for (std::size_t j = 0; j < 60; ++j) {
+            daemon.submit(slot_of(data, j));
+        }
+        daemon.finish();
+        const std::vector<WindowReport> reports = daemon.drain();
+        ASSERT_EQ(reports.size(), 4u);
+
+        for (const WindowReport& report : reports) {
+            RuntimeConfig runtime = config.runtime;
+            runtime.threads = 1;
+            FleetRunner runner(runtime);
+            StreamingDetector::Config detector;
+            detector.window = config.window;
+            detector.stride = config.stride;
+            detector.framework = config.framework;
+            detector.evaluator = runner.window_evaluator();
+            StreamingDetector alone(10, data.tau_s, detector);
+            for (std::size_t k = 0; k < config.window; ++k) {
+                alone.push_slot(slot_of(data, report.first_slot + k));
+            }
+            const std::optional<WindowReport> want = alone.poll();
+            ASSERT_TRUE(want.has_value());
+            EXPECT_TRUE(same_bits(report.detection, want->detection))
+                << "threads " << threads << ", window at slot "
+                << report.first_slot;
+            EXPECT_TRUE(
+                same_bits(report.reconstructed_x, want->reconstructed_x))
+                << "threads " << threads << ", window at slot "
+                << report.first_slot;
+            EXPECT_TRUE(
+                same_bits(report.reconstructed_y, want->reconstructed_y))
+                << "threads " << threads << ", window at slot "
+                << report.first_slot;
+            EXPECT_EQ(report.iterations, want->iterations);
+        }
     }
-    lenient.finish();
-    EXPECT_EQ(lenient.stats().warm_resets, 0u);
 }
 
 // ---- Journal replay / crash recovery -----------------------------------
@@ -590,6 +619,53 @@ TEST(IngestDaemon, QuarantineEnforcementSurvivesResumeBitIdentically) {
                 << "window " << k << " cell " << c;
         }
     }
+}
+
+// The window-evaluation and journal-append histograms time live work
+// only: the windows and slots a resumed daemon replays are not timed.
+TEST(IngestDaemon, LatencyHistogramsCountLiveWindowsAndAppends) {
+    const std::size_t kSlots = 60;
+    const std::size_t kCrashAt = 31;  // window 1 closed at slot 24
+    const CorruptedDataset data = make_stream(29, 10, kSlots);
+    const JournalDir dir;
+    ServeConfig config = small_config(10);
+    config.tau_s = data.tau_s;
+    config.journal_path = dir.journal();
+    config.flush_tail = false;
+    {
+        IngestDaemon first(config);
+        first.start();
+        for (std::size_t j = 0; j < kCrashAt; ++j) {
+            first.submit(slot_of(data, j));
+        }
+        first.finish();
+        const ServeStats stats = first.stats();
+        EXPECT_EQ(stats.windows_evaluated, 1u);
+        EXPECT_EQ(stats.window_eval_ms.count(), 1u);
+        EXPECT_EQ(stats.uploads_accepted, kCrashAt);
+        EXPECT_EQ(stats.journal_append_ms.count(), kCrashAt);
+        EXPECT_EQ(stats.slot_latency_ms.count(), kCrashAt);
+    }
+
+    config.resume = true;
+    IngestDaemon resumed(config);
+    resumed.start();
+    const ServeStats replayed = resumed.stats();
+    EXPECT_EQ(replayed.slots_replayed, kCrashAt);
+    EXPECT_EQ(replayed.windows_evaluated, 1u);
+    EXPECT_EQ(replayed.window_eval_ms.count(), 0u);
+    EXPECT_EQ(replayed.journal_append_ms.count(), 0u);
+    for (std::size_t j = kCrashAt; j < kSlots; ++j) {
+        resumed.submit(slot_of(data, j));
+    }
+    resumed.finish();
+    const ServeStats stats = resumed.stats();
+    // Windows closing at 36, 48 and 60 were evaluated live.
+    EXPECT_EQ(stats.windows_evaluated, 4u);
+    EXPECT_EQ(stats.window_eval_ms.count(), 3u);
+    EXPECT_EQ(stats.uploads_accepted, kSlots - kCrashAt);
+    EXPECT_EQ(stats.journal_append_ms.count(), kSlots - kCrashAt);
+    EXPECT_GT(stats.window_eval_ms.max(), 0.0);
 }
 
 TEST(IngestDaemon, ResumeRefusesMismatchedStream) {

@@ -72,22 +72,21 @@
 //                  [--window W] [--stride K] [--variant V]
 //                  [--threads N] [--shard-size K] [--shard-count C]
 //                  [--tier exact|fast] [--chaos=SPEC]
-//                  [--journal FILE] [--resume] [--no-warm-start]
-//                  [--warm-verify-every K] [--warm-verify-tolerance T]
-//                  [--queue-capacity Q] [--report r.json] [--stats-json]
+//                  [--journal FILE] [--resume] [--queue-capacity Q]
+//                  [--report r.json] [--stats-json]
 //       Replay the trace through the online ingestion daemon
 //       (DESIGN.md §15): slots stream through a bounded queue into a
-//       sliding-window detector that evaluates every --stride slots,
-//       warm-starting each window's CS solve from the previous window's
-//       factors (disable with --no-warm-start; --warm-verify-every k
-//       re-checks every k-th warm window against a cold solve). --journal
+//       sliding-window detector that evaluates every --stride slots, each
+//       window one cold run of the framework over its own slots. --journal
 //       appends every accepted slot to a CRC-framed ingest log; with
 //       --resume the journal is replayed first and the trace feed
 //       continues after the replayed slots, so a killed serve run picks
 //       up exactly where it stopped. --chaos adds slotloss=k to the §11
 //       grammar: every k-th upload is lost and an all-missing slot is
 //       ingested in its place. Malformed uploads are rejected with
-//       structured FailureReports, not crashes.
+//       structured FailureReports, not crashes. The --report carries the
+//       p50/p99/max of the live slot, window-evaluation and journal-append
+//       latencies.
 //
 //   itscs demo     [--alpha A] [--beta B] [--seed S] [--json]
 //                  [--stats-json] [--tier exact|fast]
@@ -289,9 +288,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"defense", "SPEC", "§17 defence; quarantined uploads refused"},
         {"journal", "FILE", "CRC-framed ingest journal"},
         {"resume", "", "replay the journal, then continue the feed"},
-        {"no-warm-start", "", "cold-start every window's CS solve"},
-        {"warm-verify-every", "K", "cold-check every k-th warm window"},
-        {"warm-verify-tolerance", "T", "relative gate (default 1e-2)"},
         {"queue-capacity", "Q", "bounded upload queue (default 256)"},
         {"report", "FILE", "JSON run report (per-window rows)"},
         {"stats-json", "", "print instrumentation counters as JSON"},
@@ -896,12 +892,6 @@ int cmd_serve(const Args& args) {
     }
     serve.journal_path = args.get_or("journal", "");
     serve.resume = args.has("resume");
-    serve.warm_start = !args.has("no-warm-start");
-    serve.warm_verify_every = args.has("warm-verify-every")
-                                  ? args.count("warm-verify-every")
-                                  : 0;
-    serve.warm_verify_tolerance =
-        args.number("warm-verify-tolerance", 1e-2);
     serve.queue_capacity = args.has("queue-capacity")
                                ? args.count("queue-capacity")
                                : 256;
@@ -942,21 +932,28 @@ int cmd_serve(const Args& args) {
         report["slots"] = t;
         report["window"] = serve.window;
         report["stride"] = serve.stride;
-        report["warm_start"] = serve.warm_start;
         report["threads"] = threads;
         report["uploads_accepted"] = stats.uploads_accepted;
         report["uploads_rejected"] = stats.uploads_rejected;
         report["slots_dropped"] = stats.slots_dropped;
         report["slots_replayed"] = stats.slots_replayed;
         report["windows_evaluated"] = stats.windows_evaluated;
-        report["windows_warm"] = stats.windows_warm;
-        report["warm_resets"] = stats.warm_resets;
         report["journal_corrupt_frames"] = stats.journal_corrupt_frames;
         report["journal_torn_tail"] = stats.journal_torn_tail;
         report["participants_quarantined"] = stats.participants_quarantined;
         report["readings_quarantined"] = stats.readings_quarantined;
-        report["slot_latency_p50_ms"] = stats.slot_latency_ms.quantile(0.50);
-        report["slot_latency_p99_ms"] = stats.slot_latency_ms.quantile(0.99);
+        const struct {
+            const char* name;
+            const mcs::LatencyHistogram* ms;
+        } latencies[] = {{"slot_latency", &stats.slot_latency_ms},
+                         {"window_eval", &stats.window_eval_ms},
+                         {"journal_append", &stats.journal_append_ms}};
+        for (const auto& latency : latencies) {
+            const std::string name = latency.name;
+            report[name + "_p50_ms"] = latency.ms->quantile(0.50);
+            report[name + "_p99_ms"] = latency.ms->quantile(0.99);
+            report[name + "_max_ms"] = latency.ms->max();
+        }
         mcs::Json windows = mcs::Json::array();
         for (const mcs::WindowReport& w : reports) {
             mcs::Json row = mcs::Json::object();
@@ -964,10 +961,6 @@ int cmd_serve(const Args& args) {
             row["width"] = w.detection.cols();
             row["iterations"] = w.iterations;
             row["converged"] = w.converged;
-            row["warm_started"] = w.warm_started;
-            row["warm_verified"] = w.warm_verified;
-            row["warm_reset"] = w.warm_reset;
-            row["warm_deviation"] = w.warm_deviation;
             row["flagged"] = mcs::count_equal(w.detection, 1.0);
             row["quarantined"] = w.quarantined.size();
             windows.push_back(row);
@@ -1007,11 +1000,11 @@ int cmd_serve(const Args& args) {
               << stats.slots_dropped << " lost, "
               << stats.readings_quarantined << " quarantined reading(s) of "
               << stats.participants_quarantined << " participant(s)): "
-              << stats.windows_evaluated << " window(s), "
-              << stats.windows_warm << " warm, " << stats.warm_resets
-              << " reset(s), p99 "
+              << stats.windows_evaluated << " window(s), slot p99 "
               << mcs::format_fixed(
                      stats.slot_latency_ms.quantile(0.99), 2)
+              << " ms, window evaluation p99 "
+              << mcs::format_fixed(stats.window_eval_ms.quantile(0.99), 2)
               << " ms\n";
     return 0;
 }

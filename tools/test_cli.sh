@@ -57,12 +57,42 @@ grep -q '"workspace_allocations"' "$WORKDIR/report3.json"
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
     "$WORKDIR/clean_stats.out"
 "$ITSCS" serve --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
-    --window 30 --stride 15 --stats-json > "$WORKDIR/serve_stats.out"
-python3 - "$WORKDIR/serve_stats.out" <<'EOF'
+    --window 30 --stride 15 --journal "$WORKDIR/serve.journal" \
+    --report "$WORKDIR/serve_report.json" --stats-json \
+    > "$WORKDIR/serve_stats.out"
+python3 - "$WORKDIR/serve_stats.out" "$WORKDIR/serve_report.json" <<'EOF'
 import json, sys
-stats = json.load(open(sys.argv[1]))
+stats, report = (json.load(open(path)) for path in sys.argv[1:])
 assert stats["counters"]["asd_iterations"] > 0, stats["counters"]
+# Every window is served cold: no warm-start key is left in either
+# document ("warm_start" may still name the SVD-init phase, as a value).
+def keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from keys(value)
+for name, doc in (("stats", stats), ("report", report)):
+    warm = [k for k in keys(doc) if k.startswith("warm") or k == "windows_warm"]
+    assert not warm, (name, warm)
+for latency in ("slot_latency", "window_eval", "journal_append"):
+    for stat in ("p50", "p99", "max"):
+        assert report[f"{latency}_{stat}_ms"] >= 0, (latency, stat)
+assert report["window_eval_max_ms"] > 0 and report["journal_append_max_ms"] > 0
 EOF
+for removed in no-warm-start warm-verify-every warm-verify-tolerance; do
+    set +e
+    "$ITSCS" serve --in "$WORKDIR/corrupted.csv" --participants 20 \
+        --slots 60 --window 30 --stride 15 --"$removed" \
+        2> "$WORKDIR/removed.err"
+    STATUS=$?
+    set -e
+    test "$STATUS" -eq 2 ||
+        { echo "expected serve --$removed exit 2, got $STATUS"; exit 1; }
+    grep -q -- "unknown flag --$removed" "$WORKDIR/removed.err"
+done
 # Instrumented demo: --json merges the counters as a "stats" member.
 "$ITSCS" demo --alpha 0.1 --beta 0.1 --json --stats-json \
     > "$WORKDIR/demo_stats.out"

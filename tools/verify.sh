@@ -26,12 +26,11 @@
 #                            is not bit-identical across 1/2/7 workers
 #   tools/verify.sh stream   streaming smoke: Release-build the ingestion
 #                            daemon's trace-replay load generator
-#                            (bench/perf_streaming) and run it in --quick
-#                            mode; the binary itself exits non-zero when
+#                            (bench/perf_streaming) and run one --quick
+#                            replay; the binary itself exits non-zero when
 #                            the replay is invalid — no windows, empty or
-#                            non-finite report cells, warm start not
-#                            cheaper than cold, or a warm/cold F1 gap
-#                            above 0.01
+#                            non-finite report cells, no recorded slot
+#                            latencies, or a non-finite F1
 #   tools/verify.sh defense  defence smoke: Release-build perf_pipeline and
 #                            run the defence sweep (--defense-sweep
 #                            --quick); the binary exits non-zero on a
@@ -121,7 +120,7 @@ stream() {
     echo "== stream: build (Release) =="
     cmake --preset release
     cmake --build --preset release -j "$(nproc)" --target perf_streaming
-    echo "== stream: daemon trace-replay smoke (warm vs cold) =="
+    echo "== stream: daemon trace-replay smoke (one cold replay) =="
     # Writes BENCH_streaming.json in cwd; run from a scratch dir so the
     # committed full-replay baseline isn't clobbered by quick numbers.
     local scratch
