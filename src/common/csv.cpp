@@ -1,152 +1,100 @@
 #include "common/csv.hpp"
 
-#include <fstream>
 #include <istream>
-#include <ostream>
-#include <sstream>
 
 #include "common/check.hpp"
 
 namespace mcs {
 
-std::size_t CsvDocument::column_index(const std::string& name) const {
-    for (std::size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == name) {
-            return i;
-        }
-    }
-    throw Error("CSV column not found: " + name);
-}
-
 namespace {
 
-// Parses one logical CSV record (may span physical lines when quoted).
-// Returns false on EOF with no data consumed.
-bool parse_record(std::istream& in, char delimiter, CsvRow& out) {
-    out.clear();
-    std::string field;
-    bool in_quotes = false;
-    bool saw_any = false;
-    int ch = in.get();
-    if (ch == EOF) {
-        return false;
-    }
-    while (ch != EOF) {
-        saw_any = true;
-        const char c = static_cast<char>(ch);
-        if (in_quotes) {
-            if (c == '"') {
-                if (in.peek() == '"') {  // escaped quote
-                    field.push_back('"');
-                    in.get();
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                field.push_back(c);
-            }
-        } else if (c == '"') {
-            in_quotes = true;
-        } else if (c == delimiter) {
-            out.push_back(std::move(field));
-            field.clear();
-        } else if (c == '\r') {
-            if (in.peek() == '\n') {
-                in.get();
-            }
-            break;
-        } else if (c == '\n') {
-            break;
-        } else {
-            field.push_back(c);
-        }
-        ch = in.get();
-    }
-    if (!saw_any) {
-        return false;
-    }
-    out.push_back(std::move(field));
-    return true;
+// Bytes that end an unquoted run of field characters.
+bool is_special(char c) {
+    return c == ',' || c == '"' || c == '\n' || c == '\r';
 }
 
 }  // namespace
 
-CsvDocument read_csv(std::istream& in, bool has_header, char delimiter) {
-    CsvDocument doc;
-    CsvRow row;
-    bool first = true;
-    while (parse_record(in, delimiter, row)) {
-        // Skip completely empty trailing lines.
-        if (row.size() == 1 && row[0].empty()) {
+CsvReader::CsvReader(std::istream& in) : in_(in), block_(kBlockBytes) {}
+
+bool CsvReader::next() {
+    while (read_record()) {
+        if (ends_.size() != 1 || !record_.empty()) {
+            return true;
+        }
+    }
+    return false;
+}
+
+std::string_view CsvReader::field(std::size_t k) const {
+    MCS_CHECK(k < ends_.size());
+    const std::size_t begin = k == 0 ? 0 : ends_[k - 1];
+    return std::string_view(record_).substr(begin, ends_[k] - begin);
+}
+
+bool CsvReader::refill() {
+    in_.read(block_.data(), static_cast<std::streamsize>(block_.size()));
+    pos_ = block_.data();
+    end_ = pos_ + in_.gcount();
+    return pos_ != end_;
+}
+
+bool CsvReader::peek_is(char c) {
+    return (pos_ != end_ || refill()) && *pos_ == c;
+}
+
+// Parses one record (it may span lines inside quotes). Returns false at
+// the end of input with no byte consumed.
+bool CsvReader::read_record() {
+    record_.clear();
+    ends_.clear();
+    if (pos_ == end_ && !refill()) {
+        return false;
+    }
+    bool in_quotes = false;
+    while (pos_ != end_ || refill()) {
+        if (in_quotes) {
+            const char* run = pos_;
+            while (run != end_ && *run != '"') {
+                ++run;
+            }
+            record_.append(pos_, run);
+            pos_ = run;
+            if (run == end_) {
+                continue;
+            }
+            ++pos_;
+            if (peek_is('"')) {  // escaped quote
+                record_.push_back('"');
+                ++pos_;
+            } else {
+                in_quotes = false;
+            }
             continue;
         }
-        if (first && has_header) {
-            doc.header = row;
-        } else {
-            doc.rows.push_back(row);
+        const char* run = pos_;
+        while (run != end_ && !is_special(*run)) {
+            ++run;
         }
-        first = false;
-    }
-    return doc;
-}
-
-CsvDocument read_csv_file(const std::string& path, bool has_header,
-                          char delimiter) {
-    std::ifstream in(path);
-    MCS_CHECK_MSG(in.good(), "cannot open CSV file for reading: " + path);
-    return read_csv(in, has_header, delimiter);
-}
-
-std::string csv_escape(const std::string& field, char delimiter) {
-    const bool needs_quote =
-        field.find(delimiter) != std::string::npos ||
-        field.find('"') != std::string::npos ||
-        field.find('\n') != std::string::npos ||
-        field.find('\r') != std::string::npos;
-    if (!needs_quote) {
-        return field;
-    }
-    std::string quoted = "\"";
-    for (const char c : field) {
+        record_.append(pos_, run);
+        pos_ = run;
+        if (run == end_) {
+            continue;
+        }
+        const char c = *pos_++;
         if (c == '"') {
-            quoted += "\"\"";
+            in_quotes = true;
+        } else if (c == ',') {
+            ends_.push_back(record_.size());
         } else {
-            quoted.push_back(c);
+            if (c == '\r' && peek_is('\n')) {
+                ++pos_;
+            }
+            break;
         }
     }
-    quoted.push_back('"');
-    return quoted;
-}
-
-namespace {
-
-void write_row(std::ostream& out, const CsvRow& row, char delimiter) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-        if (i > 0) {
-            out << delimiter;
-        }
-        out << csv_escape(row[i], delimiter);
-    }
-    out << '\n';
-}
-
-}  // namespace
-
-void write_csv(std::ostream& out, const CsvDocument& doc, char delimiter) {
-    if (!doc.header.empty()) {
-        write_row(out, doc.header, delimiter);
-    }
-    for (const auto& row : doc.rows) {
-        write_row(out, row, delimiter);
-    }
-}
-
-void write_csv_file(const std::string& path, const CsvDocument& doc,
-                    char delimiter) {
-    std::ofstream out(path);
-    MCS_CHECK_MSG(out.good(), "cannot open CSV file for writing: " + path);
-    write_csv(out, doc, delimiter);
-    MCS_CHECK_MSG(out.good(), "error while writing CSV file: " + path);
+    ends_.push_back(record_.size());
+    return true;
 }
 
 }  // namespace mcs

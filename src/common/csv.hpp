@@ -1,44 +1,50 @@
-// Minimal CSV reading/writing used by the trace import/export pipeline.
+// CSV record reader used by the trace importer.
 //
-// Supports quoted fields (RFC 4180 style: fields containing the delimiter,
-// quotes, or newlines are wrapped in double quotes; embedded quotes are
-// doubled). This is enough to round-trip every file the library produces.
+// RFC 4180 style: fields containing the delimiter, quotes, or newlines are
+// wrapped in double quotes, and embedded quotes are doubled. A record ends
+// at an unquoted \n, \r\n or lone \r, or at the end of the input. This is
+// enough to read every file the library produces.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcs {
 
-/// One parsed CSV row.
-using CsvRow = std::vector<std::string>;
+/// Reads comma-separated records one at a time. The stream is pulled in
+/// fixed-size blocks with istream::read; a record that crosses a block
+/// boundary carries over into the next block. Blank lines (records of one
+/// empty field) are skipped.
+class CsvReader {
+public:
+    /// Bytes pulled from the stream per read.
+    static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
 
-/// In-memory CSV document: optional header plus data rows.
-struct CsvDocument {
-    CsvRow header;               ///< empty if the document has no header
-    std::vector<CsvRow> rows;    ///< data rows, each a vector of fields
+    explicit CsvReader(std::istream& in);
 
-    /// Index of a header column by name; throws mcs::Error if absent.
-    std::size_t column_index(const std::string& name) const;
+    /// Advances to the next non-blank record; false at the end of input.
+    bool next();
+
+    /// Field count of the current record.
+    std::size_t size() const { return ends_.size(); }
+
+    /// Field `k` of the current record, unquoted; valid until next().
+    std::string_view field(std::size_t k) const;
+
+private:
+    bool read_record();
+    bool refill();
+    bool peek_is(char c);
+
+    std::istream& in_;
+    std::vector<char> block_;
+    const char* pos_ = nullptr;
+    const char* end_ = nullptr;
+    std::string record_;             // the current record's fields, unquoted
+    std::vector<std::size_t> ends_;  // end offset of each field in record_
 };
-
-/// Parse CSV text from a stream. If `has_header` the first row becomes
-/// `header`. Handles quoted fields and both \n and \r\n line endings.
-CsvDocument read_csv(std::istream& in, bool has_header, char delimiter = ',');
-
-/// Parse a CSV file from disk; throws mcs::Error if the file cannot be read.
-CsvDocument read_csv_file(const std::string& path, bool has_header,
-                          char delimiter = ',');
-
-/// Write a document (header first if non-empty), quoting fields as needed.
-void write_csv(std::ostream& out, const CsvDocument& doc, char delimiter = ',');
-
-/// Write a document to a file; throws mcs::Error if the file cannot open.
-void write_csv_file(const std::string& path, const CsvDocument& doc,
-                    char delimiter = ',');
-
-/// Quote a single field if it contains the delimiter, quotes, or newlines.
-std::string csv_escape(const std::string& field, char delimiter = ',');
 
 }  // namespace mcs

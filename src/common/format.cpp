@@ -1,19 +1,26 @@
 #include "common/format.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/check.hpp"
 
 namespace mcs {
 
+char* put_fixed(char* first, double value, int precision) {
+    // to_chars prints the exactly rounded decimal, as printf does.
+    return std::to_chars(first, first + max_fixed_chars(precision), value,
+                         std::chars_format::fixed, precision)
+        .ptr;
+}
+
 std::string format_fixed(double value, int precision) {
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(precision);
-    os << value;
-    return os.str();
+    std::string out(max_fixed_chars(precision), '\0');
+    out.resize(static_cast<std::size_t>(
+        put_fixed(out.data(), value, precision) - out.data()));
+    return out;
 }
 
 std::string format_percent(double ratio, int precision) {
@@ -61,21 +68,40 @@ std::vector<std::string> split(const std::string& s, char delimiter) {
     return out;
 }
 
-double parse_double(const std::string& s) {
+// Both parsers take std::from_chars's value only when it reads the whole
+// string without error; there it equals strtod's/strtol's. Everything else
+// (a leading '+' or blank, hex, overflow, junk) goes to strtod/strtol, as
+// does a NaN, whose payload only strtod keeps.
+double parse_double(std::string_view s) {
+    double value = 0.0;
+    const auto [stop, ec] =
+        std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec == std::errc() && stop == s.data() + s.size() &&
+        !std::isnan(value)) {
+        return value;
+    }
     MCS_CHECK_MSG(!s.empty(), "parse_double: empty string");
+    const std::string text(s);
     char* end = nullptr;
-    const double value = std::strtod(s.c_str(), &end);
-    MCS_CHECK_MSG(end == s.c_str() + s.size(),
-                  "parse_double: invalid number: '" + s + "'");
+    value = std::strtod(text.c_str(), &end);
+    MCS_CHECK_MSG(end == text.c_str() + text.size(),
+                  "parse_double: invalid number: '" + text + "'");
     return value;
 }
 
-long parse_long(const std::string& s) {
+long parse_long(std::string_view s) {
+    long value = 0;
+    const auto [stop, ec] =
+        std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec == std::errc() && stop == s.data() + s.size()) {
+        return value;
+    }
     MCS_CHECK_MSG(!s.empty(), "parse_long: empty string");
+    const std::string text(s);
     char* end = nullptr;
-    const long value = std::strtol(s.c_str(), &end, 10);
-    MCS_CHECK_MSG(end == s.c_str() + s.size(),
-                  "parse_long: invalid integer: '" + s + "'");
+    value = std::strtol(text.c_str(), &end, 10);
+    MCS_CHECK_MSG(end == text.c_str() + text.size(),
+                  "parse_long: invalid integer: '" + text + "'");
     return value;
 }
 

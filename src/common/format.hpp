@@ -1,13 +1,28 @@
 // Small string-formatting helpers shared by the eval harness and benches.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcs {
 
-/// Format a double with `precision` digits after the decimal point.
+/// Format a double with `precision` digits after the decimal point, as
+/// printf("%.*f") does.
 std::string format_fixed(double value, int precision);
+
+/// Room put_fixed needs: a sign, the 309 integer digits of the largest
+/// double, the point and the decimals (6 for a negative precision).
+constexpr std::size_t max_fixed_chars(int precision) {
+    return std::numeric_limits<double>::max_exponent10 + 3 +
+           static_cast<std::size_t>(precision < 0 ? 6 : precision);
+}
+
+/// Write format_fixed(value, precision) at `first`, which has room for
+/// max_fixed_chars(precision) characters; returns the end of the text.
+char* put_fixed(char* first, double value, int precision);
 
 /// Format a ratio in [0,1] as a percentage string, e.g. 0.954 -> "95.4%".
 std::string format_percent(double ratio, int precision = 1);
@@ -25,11 +40,13 @@ std::string join(const std::vector<std::string>& parts,
 /// Split a string on a single-character delimiter (keeps empty fields).
 std::vector<std::string> split(const std::string& s, char delimiter);
 
-/// Parse a double; throws mcs::Error if the whole string is not consumed.
-double parse_double(const std::string& s);
+/// Parse a double as strtod does; throws mcs::Error if the whole string is
+/// not consumed.
+double parse_double(std::string_view s);
 
-/// Parse a long; throws mcs::Error if the whole string is not consumed.
-long parse_long(const std::string& s);
+/// Parse a base-10 long as strtol does; throws mcs::Error if the whole
+/// string is not consumed.
+long parse_long(std::string_view s);
 
 /// Plain Levenshtein distance, for "did you mean ...?" hints.
 std::size_t edit_distance(const std::string& a, const std::string& b);

@@ -810,10 +810,12 @@ void run_shards(const RuntimeConfig& rcfg, ThreadPool* pool,
 
 FleetRunner::FleetRunner(RuntimeConfig config)
     : config_(config), threads_(resolve_threads(config.threads)) {
-    if (config_.shard_size == 0 && config_.shard_count == 0) {
-        // The default decomposition is one shard per resolved worker — a
-        // machine property, so results move with the hardware. Loud enough
-        // to notice, quiet enough not to fail anything.
+    if (config_.threads == 0 && config_.shard_size == 0 &&
+        config_.shard_count == 0) {
+        // With no plan the decomposition is one shard per resolved worker,
+        // and with threads = 0 that is the machine's CPU count, so results
+        // move with the hardware. An explicit thread count fixes the plan.
+        // Loud enough to notice, quiet enough not to fail anything.
         std::fprintf(stderr,
                      "itscs: warning: shard plan defaulting to one shard "
                      "per worker thread (%zu); set --shard-size or "

@@ -66,9 +66,10 @@ struct RuntimeConfig {
     std::size_t shard_size = 0;
 
     /// Shard count when shard_size == 0. 0 = one shard per resolved
-    /// worker thread. NOTE: this default couples the decomposition to the
-    /// machine — set shard_size or shard_count explicitly whenever
-    /// reproducibility across machines matters.
+    /// worker thread. NOTE: with threads = 0 this default couples the
+    /// decomposition to the machine (FleetRunner warns on stderr) — set
+    /// shard_size or shard_count explicitly whenever reproducibility
+    /// across machines matters.
     std::size_t shard_count = 0;
 
     ShardRemainder remainder = ShardRemainder::kSpread;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,21 @@ TEST(Format, FixedPrecision) {
     EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
     EXPECT_EQ(format_fixed(2.0, 0), "2");
     EXPECT_EQ(format_fixed(-1.5, 1), "-1.5");
+    // As printf("%.*f"): the sign of a value that rounds to zero stays,
+    // decimal ties that are not binary ties round by their binary value,
+    // and every integer digit of the largest magnitudes is printed.
+    EXPECT_EQ(format_fixed(-0.0, 3), "-0.000");
+    EXPECT_EQ(format_fixed(-1e-9, 3), "-0.000");
+    EXPECT_EQ(format_fixed(0.0005, 3), "0.001");
+    EXPECT_EQ(format_fixed(0.0015, 3), "0.002");
+    EXPECT_EQ(format_fixed(0.0625, 3), "0.062");
+    EXPECT_EQ(format_fixed(2.5e15, 4), "2500000000000000.0000");
+    EXPECT_EQ(format_fixed(-1e308, 3).size(), 314u);
+    EXPECT_EQ(format_fixed(std::numeric_limits<double>::quiet_NaN(), 3),
+              "nan");
+    EXPECT_EQ(format_fixed(-std::numeric_limits<double>::infinity(), 4),
+              "-inf");
+    EXPECT_EQ(format_fixed(1.0 / 3.0, -1), "0.333333");
 }
 
 TEST(Format, Percent) {

@@ -283,6 +283,26 @@ ItscsInput fleet_input(std::size_t participants, std::size_t slots) {
     return to_itscs_input(corrupt(truth, corruption));
 }
 
+// The shard-plan warning fires only where the plan follows the machine:
+// threads = 0 with neither shard_size nor shard_count set.
+TEST(FleetRunner, WarnsOnlyWhenThePlanFollowsTheMachine) {
+    const auto stderr_of = [](const RuntimeConfig& config) {
+        testing::internal::CaptureStderr();
+        { const FleetRunner runner(config); }
+        return testing::internal::GetCapturedStderr();
+    };
+    EXPECT_EQ(stderr_of(RuntimeConfig{}), "");
+    RuntimeConfig explicit_threads;
+    explicit_threads.threads = 3;
+    EXPECT_EQ(stderr_of(explicit_threads), "");
+    RuntimeConfig machine;
+    machine.threads = 0;
+    EXPECT_NE(stderr_of(machine).find("shard plan defaulting"),
+              std::string::npos);
+    machine.shard_count = 2;
+    EXPECT_EQ(stderr_of(machine), "");
+}
+
 TEST(FleetRunner, MatchesSequentialPerShardRunBitForBit) {
     const ItscsInput input = fleet_input(36, 60);
     const ItscsConfig framework;

@@ -173,6 +173,19 @@ TEST(IngestQueue, DeliversInOrderUnderBackpressure) {
 
 // ---- Boundary validation (satellite of ItscsInput::validate) -----------
 
+// A default daemon runs one shard inline, a plan that cannot move with
+// the machine, so it has nothing to warn about.
+TEST(IngestDaemon, DefaultDaemonPrintsNothing) {
+    ServeConfig config;
+    config.participants = 4;
+    testing::internal::CaptureStderr();
+    {
+        IngestDaemon daemon(config);
+        daemon.finish();
+    }
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(IngestDaemon, RejectsMalformedUploadsWithReports) {
     ServeConfig config = small_config(4);
     IngestDaemon daemon(config);

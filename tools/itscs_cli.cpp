@@ -505,19 +505,22 @@ mcs::ItscsVariant parse_variant(const std::string& name) {
 int cmd_clean(const Args& args) {
     const std::size_t n = args.count("participants");
     const std::size_t t = args.count("slots");
-    const mcs::ImportedTrace imported =
+    // Each n x t matrix is held once: the import moves into the input.
+    mcs::ImportedTrace imported =
         mcs::read_trace_csv_file(args.get("in"), n, t, 30.0);
-
-    mcs::ItscsInput input{imported.dataset.x, imported.dataset.y,
-                          imported.dataset.vx, imported.dataset.vy,
-                          imported.existence, imported.dataset.tau_s};
+    mcs::ItscsInput input{std::move(imported.dataset.x),
+                          std::move(imported.dataset.y),
+                          std::move(imported.dataset.vx),
+                          std::move(imported.dataset.vy),
+                          std::move(imported.existence),
+                          imported.dataset.tau_s};
     if (args.has("estimate-velocity")) {
         // 25 m/s (90 km/h) cap: prevents faulty positions from injecting
         // km-scale velocity estimates.
-        input.vx = mcs::estimate_velocity(imported.dataset.x,
-                                          imported.existence, 30.0, 25.0);
-        input.vy = mcs::estimate_velocity(imported.dataset.y,
-                                          imported.existence, 30.0, 25.0);
+        input.vx =
+            mcs::estimate_velocity(input.sx, input.existence, 30.0, 25.0);
+        input.vy =
+            mcs::estimate_velocity(input.sy, input.existence, 30.0, 25.0);
     }
     mcs::ItscsConfig config =
         mcs::make_config(parse_variant(args.get_or("variant", "full")));
@@ -646,18 +649,23 @@ int cmd_clean(const Args& args) {
     const mcs::ItscsResult& result = fleet.aggregate;
     const mcs::CheckpointSummary& checkpoint = fleet.checkpoint;
 
-    mcs::TraceDataset cleaned{result.reconstructed_x, result.reconstructed_y,
-                              input.vx, input.vy, input.tau_s};
-    mcs::write_trace_csv_file(args.get("out"), cleaned,
-                              mcs::Matrix::constant(n, t, 1.0));
+    {
+        // Nothing below reads the reconstructions or the velocities.
+        const mcs::TraceDataset cleaned{
+            std::move(fleet.aggregate.reconstructed_x),
+            std::move(fleet.aggregate.reconstructed_y), std::move(input.vx),
+            std::move(input.vy), input.tau_s};
+        mcs::write_trace_csv_file(args.get("out"), cleaned,
+                                  mcs::Matrix::constant(n, t, 1.0));
+    }
     if (args.has("flags")) {
         write_flags_csv(args.get("flags"), result.detection,
-                        imported.existence);
+                        input.existence);
     }
     std::size_t flagged = 0;
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < t; ++j) {
-            if (imported.existence(i, j) == 1.0 &&
+            if (input.existence(i, j) == 1.0 &&
                 result.detection(i, j) == 1.0) {
                 ++flagged;
             }

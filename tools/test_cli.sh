@@ -37,6 +37,20 @@ CLEANED=$(wc -l < "$WORKDIR/cleaned.csv")
 test "$CLEANED" -eq 1201
 grep -q '"converged": true' "$WORKDIR/report.json"
 
+echo "== CRLF and quoted-header feeds clean to the same bytes =="
+sed 's/$/\r/' "$WORKDIR/corrupted.csv" > "$WORKDIR/corrupted_crlf.csv"
+sed '1s/^participant,/"participant",/' "$WORKDIR/corrupted.csv" \
+    > "$WORKDIR/corrupted_quoted.csv"
+test "$(grep -c $'\r$' "$WORKDIR/corrupted_crlf.csv")" -eq "$CORRUPTED"
+test "$(head -c 14 "$WORKDIR/corrupted_quoted.csv")" = '"participant",'
+for grammar in crlf quoted; do
+    "$ITSCS" clean --in "$WORKDIR/corrupted_$grammar.csv" --participants 20 \
+        --slots 60 --variant full --out "$WORKDIR/cleaned_$grammar.csv" \
+        --flags "$WORKDIR/flags_$grammar.csv"
+    cmp "$WORKDIR/cleaned.csv" "$WORKDIR/cleaned_$grammar.csv"
+    cmp "$WORKDIR/flags.csv" "$WORKDIR/flags_$grammar.csv"
+done
+
 echo "== clean with estimated velocity =="
 "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
     --estimate-velocity --out "$WORKDIR/cleaned2.csv"
