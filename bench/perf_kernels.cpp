@@ -52,11 +52,12 @@
 
 namespace {
 
-// Paper-scale shapes: one 158-participant shard, 240 slots, rank 16 (the
-// factor width the ASD inner loop actually carries on a shard this size).
+// Paper-scale shapes: one 158-participant shard, 240 slots, and the factor
+// width the ASD inner loop carries on a shard this size (the solver's own
+// recommended_rank, 40).
 constexpr std::size_t kRows = 158;
 constexpr std::size_t kSlots = 240;
-constexpr std::size_t kRank = 16;
+const std::size_t kRank = mcs::recommended_rank(kRows, kSlots);
 
 mcs::Matrix random_matrix(std::size_t rows, std::size_t cols,
                           std::uint64_t seed) {

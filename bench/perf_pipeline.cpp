@@ -8,19 +8,6 @@
 // check (0 buffer allocations per iteration after warm-up). Pass
 // `--stats-only` to skip the microbenchmarks and emit only the JSON.
 //
-// Pass `--runtime-sweep` to instead run the runtime-subsystem sweep: a
-// 1264 x 240 fleet (8 paper-scale shards of 158 participants) executed by
-// FleetRunner at 1/2/4/8 workers under both kernel tiers (exact and
-// fast). Results are written to BENCH_runtime.json in the working
-// directory (and stdout): per {tier, worker count} {wall_ms, speedup vs.
-// that tier's 1-worker run, alloc_steady_state, shards stolen} plus a
-// bit-identity check of every parallel run against the same tier's
-// sequential run, and the fast-vs-exact sequential fleet speedup. Worker
-// counts above the effective CPU count (sched_getaffinity) are skipped by
-// default — an oversubscribed "speedup" measures the kernel scheduler —
-// and recorded under skipped_oversubscribed_threads; pass
-// `--include-oversubscribed` to sweep them anyway.
-//
 // Pass `--scale-sweep` for the out-of-core data plane's headline claims
 // (DESIGN.md §18): a synthetic ≥100k-participant fleet streamed through
 // the mmap slab store under a fixed memory budget several times smaller
@@ -276,15 +263,8 @@ mcs::Json instrumented_pipeline_report() {
     return report;
 }
 
-// ---- runtime thread sweep ------------------------------------------------
-//
-// 8 shards of the paper's 158 participants: big enough that shard work
-// dominates pool overhead, small enough to sweep on a laptop. Every
-// configuration pins shard_size = 158 (kTail), so the block decomposition
-// — and therefore the numerics — is constant across the sweep; only the
-// worker count varies. Each configuration runs twice: the second (warm)
-// run provides the wall time and the steady-state allocation count, since
-// the runner clear()s its arenas between runs.
+// ---- helpers shared by the sweeps ---------------------------------------
+
 bool bitwise_equal(const mcs::Matrix& a, const mcs::Matrix& b) {
     const auto da = a.data();
     const auto db = b.data();
@@ -295,131 +275,6 @@ bool bitwise_equal(const mcs::Matrix& a, const mcs::Matrix& b) {
 double median(std::vector<double> samples) {
     std::sort(samples.begin(), samples.end());
     return samples[samples.size() / 2];
-}
-
-mcs::Json runtime_sweep_report(std::size_t repeat,
-                               bool include_oversubscribed) {
-    constexpr std::size_t kShardSize = 158;
-    constexpr std::size_t kShards = 8;
-    constexpr std::size_t kSlots = 240;
-    const std::size_t participants = kShardSize * kShards;
-
-    // A worker count above the effective CPU count measures the kernel
-    // scheduler, not this runner — on a 1-core container the committed
-    // "speedup" curve was pure oversubscription noise. Skip those counts
-    // by default (the skips are recorded) and keep them opt-in for
-    // scheduler-behaviour studies.
-    const std::size_t effective = mcs::effective_cpu_count();
-    std::vector<std::size_t> thread_counts;
-    std::vector<std::size_t> skipped_counts;
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-        if (threads <= effective || include_oversubscribed) {
-            thread_counts.push_back(threads);
-        } else {
-            skipped_counts.push_back(threads);
-        }
-    }
-
-    std::cerr << "runtime sweep: simulating " << participants << "x"
-              << kSlots << " fleet...\n";
-    const mcs::TraceDataset truth =
-        mcs::make_small_dataset(11, participants, kSlots);
-    mcs::CorruptionConfig corruption;
-    corruption.missing_ratio = 0.2;
-    corruption.fault_ratio = 0.2;
-    corruption.seed = 5;
-    const mcs::CorruptedDataset data = mcs::corrupt(truth, corruption);
-    const mcs::ItscsInput input = mcs::to_itscs_input(data);
-
-    mcs::Json rows = mcs::Json::array();
-    bool all_bitwise_equal = true;
-    double sequential_ms_by_tier[2] = {0.0, 0.0};
-
-    for (const mcs::KernelTier tier :
-         {mcs::KernelTier::kExact, mcs::KernelTier::kFast}) {
-        const auto tier_index = static_cast<std::size_t>(tier);
-        mcs::Matrix reference_detection, reference_x, reference_y;
-        for (const std::size_t threads : thread_counts) {
-            mcs::RuntimeConfig config;
-            config.threads = threads;
-            config.shard_size = kShardSize;
-            config.remainder = mcs::ShardRemainder::kTail;
-            config.kernel_tier = tier;
-            mcs::FleetRunner runner(config);
-
-            std::cerr << "runtime sweep: tier=" << to_string(tier)
-                      << " threads=" << threads << " (cold)\n";
-            runner.run(input, mcs::ItscsConfig{});  // warm-up
-            mcs::PipelineContext ctx;
-            mcs::FleetResult fleet;
-            std::vector<double> samples;
-            samples.reserve(repeat);
-            for (std::size_t rep = 0; rep < repeat; ++rep) {
-                std::cerr << "runtime sweep: tier=" << to_string(tier)
-                          << " threads=" << threads << " (timed "
-                          << (rep + 1) << "/" << repeat << ")\n";
-                const mcs::Stopwatch timer;
-                fleet = runner.run(input, mcs::ItscsConfig{},
-                                   rep == 0 ? &ctx : nullptr);
-                samples.push_back(timer.elapsed_seconds() * 1000.0);
-            }
-            const double wall_ms = median(std::move(samples));
-
-            bool equal_to_sequential = true;
-            if (threads == 1) {
-                sequential_ms_by_tier[tier_index] = wall_ms;
-                reference_detection = fleet.aggregate.detection;
-                reference_x = fleet.aggregate.reconstructed_x;
-                reference_y = fleet.aggregate.reconstructed_y;
-            } else {
-                equal_to_sequential =
-                    bitwise_equal(fleet.aggregate.detection,
-                                  reference_detection) &&
-                    bitwise_equal(fleet.aggregate.reconstructed_x,
-                                  reference_x) &&
-                    bitwise_equal(fleet.aggregate.reconstructed_y,
-                                  reference_y);
-                all_bitwise_equal = all_bitwise_equal && equal_to_sequential;
-            }
-
-            mcs::Json row = mcs::Json::object();
-            row["kernel_tier"] = std::string(to_string(tier));
-            row["threads"] = threads;
-            row["shards"] = fleet.shards.size();
-            row["wall_ms"] = wall_ms;
-            row["speedup"] = sequential_ms_by_tier[tier_index] > 0.0
-                                 ? sequential_ms_by_tier[tier_index] / wall_ms
-                                 : 1.0;
-            row["alloc_steady_state"] =
-                ctx.counters().workspace_allocations;
-            row["oversubscribed"] = threads > effective;
-            row["shards_stolen"] = fleet.steals.stolen_items;
-            row["bitwise_equal_to_sequential"] = equal_to_sequential;
-            rows.push_back(row);
-        }
-    }
-
-    mcs::Json report = mcs::Json::object();
-    report["fleet"] = mcs::Json::object();
-    report["fleet"]["participants"] = participants;
-    report["fleet"]["slots"] = kSlots;
-    report["fleet"]["shard_size"] = kShardSize;
-    report["fleet"]["shards"] = kShards;
-    mcs::stamp_environment(report, repeat,
-                           /*threads_used=*/thread_counts.back());
-    report["warmup_runs"] = 1;
-    mcs::Json skipped = mcs::Json::array();
-    for (const std::size_t threads : skipped_counts) {
-        skipped.push_back(threads);
-    }
-    report["skipped_oversubscribed_threads"] = skipped;
-    report["sweep"] = rows;
-    report["all_bitwise_equal_to_sequential"] = all_bitwise_equal;
-    report["fast_vs_exact_sequential_speedup"] =
-        sequential_ms_by_tier[1] > 0.0
-            ? sequential_ms_by_tier[0] / sequential_ms_by_tier[1]
-            : 1.0;
-    return report;
 }
 
 // ---- scale sweep ---------------------------------------------------------
@@ -776,8 +631,8 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
 // four shards: how much the health guards cost when nothing goes wrong
 // (best-of-3 walls, guards on vs. off, outputs compared bit for bit), and
 // whether the degradation ladder always lands on a finite result as the
-// injected fault probability rises. Smaller than the runtime sweep because
-// degraded shards pay conservative retries (2x the ASD budget).
+// injected fault probability rises. Smaller than the paper-scale fleet
+// because degraded shards pay conservative retries (2x the ASD budget).
 bool all_finite(const mcs::Matrix& m) {
     const auto data = m.data();
     return std::all_of(data.begin(), data.end(),
@@ -1636,8 +1491,6 @@ mcs::Json defense_sweep_report(std::size_t repeat, bool quick,
 
 int main(int argc, char** argv) {
     bool stats_only = false;
-    bool runtime_sweep = false;
-    bool include_oversubscribed = false;
     bool scale_sweep = false;
     bool chaos_sweep = false;
     bool checkpoint_sweep = false;
@@ -1655,14 +1508,6 @@ int main(int argc, char** argv) {
         if (std::string_view(argv[i]) == "--repeat" && i + 1 < argc) {
             repeat = static_cast<std::size_t>(
                 std::max(1L, std::atol(argv[++i])));
-            continue;
-        }
-        if (std::string_view(argv[i]) == "--runtime-sweep") {
-            runtime_sweep = true;
-            continue;
-        }
-        if (std::string_view(argv[i]) == "--include-oversubscribed") {
-            include_oversubscribed = true;
             continue;
         }
         if (std::string_view(argv[i]) == "--scale-sweep") {
@@ -1690,14 +1535,6 @@ int main(int argc, char** argv) {
             continue;
         }
         args.push_back(argv[i]);
-    }
-    if (runtime_sweep) {
-        const mcs::Json report = runtime_sweep_report(
-            repeat == 0 ? 1 : repeat, include_oversubscribed);
-        std::ofstream out("BENCH_runtime.json");
-        out << report.dump(2) << "\n";
-        std::cout << report.dump(2) << "\n";
-        return 0;
     }
     if (scale_sweep) {
         bool all_claims = false;

@@ -10,10 +10,9 @@
 // hardware_concurrency, clamped to at least 1.
 //
 // Everything that sizes a worker fleet routes through here: ThreadPool's
-// threads==0 default, FleetRunner::resolve_threads, the runtime sweep's
-// oversubscription guard, and bench_stamp.hpp's environment stamp (which
-// records both values so a reader can tell a pinned container from a
-// genuinely small machine).
+// threads==0 default, FleetRunner::resolve_threads, and bench_stamp.hpp's
+// environment stamp (which records both values so a reader can tell a
+// pinned container from a genuinely small machine).
 #pragma once
 
 #include <cstddef>

@@ -222,144 +222,122 @@ MCS_TARGET_AVX2 inline __m256d dot4(const double* x, const double* y0,
     return _mm256_add_pd(swap, blend);
 }
 
-// Start of one accumulator register: zero, or the four dst values a
-// product accumulates onto.
-MCS_TARGET_AVX2 inline __m256d tile_start(const double* out,
-                                          bool accumulate) {
-    return accumulate ? _mm256_loadu_pd(out) : _mm256_setzero_pd();
+// Register-tiled GEMM: dst rows [lo, hi) of an (hi−lo)×n product whose
+// k-term for dst row i is a[i·ri + k·rk] — covers both a·b (ri = kdim,
+// rk = 1) and aᵀ·b (ri = 1, rk = acols); b is row-major k×n in both. Rows
+// go in strips of 4 (then one of 2 and one of 1 for the leftovers), each
+// strip in 4×8 tiles whose 8 accumulators stay in registers across the
+// whole k loop, fed per k by 2 loads of b and 4 broadcasts of a. The last
+// n mod 8 columns take one narrower tile whose last vector is masked to
+// the n mod 4 columns left, so no column falls back to scalar code. Every
+// dst element accumulates its k-terms as one ascending FMA chain — from
+// +0.0, or from dst's value with `accumulate` (dst += product) — so
+// neither the tiling nor the [lo, hi) split can change the bits.
+
+// Lanes [0, count) of a 4-lane mask.
+MCS_TARGET_AVX2 inline __m256i lane_mask(std::size_t count) {
+    return _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(count)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
 }
 
-// Register-resident GEMM row block: dst rows [lo, hi) of an (hi−lo)×n
-// product whose k-term for dst row i is a[i·ri + k·rk] — covers both a·b
-// (ri = kdim, rk = 1) and aᵀ·b (ri = 1, rk = acols); b is row-major k×n in
-// both. Accumulators live in registers across the whole k loop (the
-// memory-accumulating formulation was store-bound), and rows are processed
-// in pairs so eight independent FMA chains hide the FMA latency that a
-// single row's four chains cannot. Every dst element accumulates its
-// k-terms as one ascending chain, so neither the pairing nor the
-// j-blocking can change the bits. With `accumulate` the chain starts from
-// dst's value instead of zero (dst += product).
+// Vector v of a tile row, cut to the `tail` lanes when it is the last
+// vector of a masked tile (masked-off lanes load as zero, store nothing).
+template <int V, bool Masked>
+MCS_TARGET_AVX2 inline __m256d tile_load(const double* p, int v,
+                                         __m256i tail) {
+    return Masked && v == V - 1 ? _mm256_maskload_pd(p, tail)
+                                : _mm256_loadu_pd(p);
+}
+
+template <int V, bool Masked>
+MCS_TARGET_AVX2 inline void tile_store(double* p, int v, __m256i tail,
+                                       __m256d x) {
+    if (Masked && v == V - 1) {
+        _mm256_maskstore_pd(p, tail, x);
+    } else {
+        _mm256_storeu_pd(p, x);
+    }
+}
+
+// One R×4V tile of dst at `out` (row stride n); `a` points at the tile's
+// first row of a, `b` at its first column of b. Always inlined into its
+// strip: at the ASD products' short k loops, a call per tile (with its
+// register shuffling) cost more than the tiling saved.
+template <int R, int V, bool Masked>
+MCS_TARGET_AVX2 __attribute__((always_inline)) inline void gemm_tile(
+    double* out, const double* a, std::size_t ri, std::size_t rk,
+    const double* b, std::size_t kdim, std::size_t n, bool accumulate,
+    __m256i tail) {
+    __m256d c[R][V];
+    for (int r = 0; r < R; ++r) {
+        for (int v = 0; v < V; ++v) {
+            c[r][v] = accumulate
+                          ? tile_load<V, Masked>(out + r * n + 4 * v, v, tail)
+                          : _mm256_setzero_pd();
+        }
+    }
+    for (std::size_t k = 0; k < kdim; ++k, a += rk, b += n) {
+        __m256d bv[V];
+        for (int v = 0; v < V; ++v) {
+            bv[v] = tile_load<V, Masked>(b + 4 * v, v, tail);
+        }
+        for (int r = 0; r < R; ++r) {
+            const __m256d av = _mm256_set1_pd(a[r * ri]);
+            for (int v = 0; v < V; ++v) {
+                c[r][v] = _mm256_fmadd_pd(av, bv[v], c[r][v]);
+            }
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        for (int v = 0; v < V; ++v) {
+            tile_store<V, Masked>(out + r * n + 4 * v, v, tail, c[r][v]);
+        }
+    }
+}
+
+// R rows of dst, all n columns: 8-wide tiles, then one tile for the rest.
+template <int R>
+MCS_TARGET_AVX2 inline void gemm_strip(double* out, const double* a,
+                                       std::size_t ri, std::size_t rk,
+                                       const double* b, std::size_t kdim,
+                                       std::size_t n, bool accumulate) {
+    const __m256i tail = lane_mask(n % 4);
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        gemm_tile<R, 2, false>(out + j, a, ri, rk, b + j, kdim, n,
+                               accumulate, tail);
+    }
+    const std::size_t rest = n - j;
+    if (rest > 4) {
+        gemm_tile<R, 2, true>(out + j, a, ri, rk, b + j, kdim, n,
+                              accumulate, tail);
+    } else if (rest == 4) {
+        gemm_tile<R, 1, false>(out + j, a, ri, rk, b + j, kdim, n,
+                               accumulate, tail);
+    } else if (rest > 0) {
+        gemm_tile<R, 1, true>(out + j, a, ri, rk, b + j, kdim, n,
+                              accumulate, tail);
+    }
+}
+
 MCS_TARGET_AVX2
 void gemm_rows(double* dst, const double* a, std::size_t ri, std::size_t rk,
                const double* b, std::size_t lo, std::size_t hi,
                std::size_t kdim, std::size_t n, bool accumulate) {
     std::size_t i = lo;
-    for (; i + 2 <= hi; i += 2) {
-        const double* a0 = a + i * ri;
-        const double* a1 = a0 + ri;
-        double* out0 = dst + i * n;
-        double* out1 = out0 + n;
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16) {
-            __m256d c00 = tile_start(out0 + j, accumulate);
-            __m256d c01 = tile_start(out0 + j + 4, accumulate);
-            __m256d c02 = tile_start(out0 + j + 8, accumulate);
-            __m256d c03 = tile_start(out0 + j + 12, accumulate);
-            __m256d c10 = tile_start(out1 + j, accumulate);
-            __m256d c11 = tile_start(out1 + j + 4, accumulate);
-            __m256d c12 = tile_start(out1 + j + 8, accumulate);
-            __m256d c13 = tile_start(out1 + j + 12, accumulate);
-            const double* pa0 = a0;
-            const double* pa1 = a1;
-            const double* bk = b + j;
-            for (std::size_t k = 0; k < kdim;
-                 ++k, pa0 += rk, pa1 += rk, bk += n) {
-                const __m256d va0 = _mm256_set1_pd(*pa0);
-                const __m256d va1 = _mm256_set1_pd(*pa1);
-                const __m256d b0 = _mm256_loadu_pd(bk);
-                const __m256d b1 = _mm256_loadu_pd(bk + 4);
-                const __m256d b2 = _mm256_loadu_pd(bk + 8);
-                const __m256d b3 = _mm256_loadu_pd(bk + 12);
-                c00 = _mm256_fmadd_pd(va0, b0, c00);
-                c01 = _mm256_fmadd_pd(va0, b1, c01);
-                c02 = _mm256_fmadd_pd(va0, b2, c02);
-                c03 = _mm256_fmadd_pd(va0, b3, c03);
-                c10 = _mm256_fmadd_pd(va1, b0, c10);
-                c11 = _mm256_fmadd_pd(va1, b1, c11);
-                c12 = _mm256_fmadd_pd(va1, b2, c12);
-                c13 = _mm256_fmadd_pd(va1, b3, c13);
-            }
-            _mm256_storeu_pd(out0 + j, c00);
-            _mm256_storeu_pd(out0 + j + 4, c01);
-            _mm256_storeu_pd(out0 + j + 8, c02);
-            _mm256_storeu_pd(out0 + j + 12, c03);
-            _mm256_storeu_pd(out1 + j, c10);
-            _mm256_storeu_pd(out1 + j + 4, c11);
-            _mm256_storeu_pd(out1 + j + 8, c12);
-            _mm256_storeu_pd(out1 + j + 12, c13);
-        }
-        for (; j + 4 <= n; j += 4) {
-            __m256d c0 = tile_start(out0 + j, accumulate);
-            __m256d c1 = tile_start(out1 + j, accumulate);
-            const double* pa0 = a0;
-            const double* pa1 = a1;
-            const double* bk = b + j;
-            for (std::size_t k = 0; k < kdim;
-                 ++k, pa0 += rk, pa1 += rk, bk += n) {
-                const __m256d bv = _mm256_loadu_pd(bk);
-                c0 = _mm256_fmadd_pd(_mm256_set1_pd(*pa0), bv, c0);
-                c1 = _mm256_fmadd_pd(_mm256_set1_pd(*pa1), bv, c1);
-            }
-            _mm256_storeu_pd(out0 + j, c0);
-            _mm256_storeu_pd(out1 + j, c1);
-        }
-        for (; j < n; ++j) {
-            double s0 = accumulate ? out0[j] : 0.0;
-            double s1 = accumulate ? out1[j] : 0.0;
-            const double* pa0 = a0;
-            const double* pa1 = a1;
-            const double* bk = b + j;
-            for (std::size_t k = 0; k < kdim;
-                 ++k, pa0 += rk, pa1 += rk, bk += n) {
-                s0 = std::fma(*pa0, *bk, s0);
-                s1 = std::fma(*pa1, *bk, s1);
-            }
-            out0[j] = s0;
-            out1[j] = s1;
-        }
+    for (; i + 4 <= hi; i += 4) {
+        gemm_strip<4>(dst + i * n, a + i * ri, ri, rk, b, kdim, n,
+                      accumulate);
     }
-    for (; i < hi; ++i) {
-        const double* a0 = a + i * ri;
-        double* out0 = dst + i * n;
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16) {
-            __m256d c00 = tile_start(out0 + j, accumulate);
-            __m256d c01 = tile_start(out0 + j + 4, accumulate);
-            __m256d c02 = tile_start(out0 + j + 8, accumulate);
-            __m256d c03 = tile_start(out0 + j + 12, accumulate);
-            const double* pa0 = a0;
-            const double* bk = b + j;
-            for (std::size_t k = 0; k < kdim; ++k, pa0 += rk, bk += n) {
-                const __m256d va0 = _mm256_set1_pd(*pa0);
-                c00 = _mm256_fmadd_pd(va0, _mm256_loadu_pd(bk), c00);
-                c01 = _mm256_fmadd_pd(va0, _mm256_loadu_pd(bk + 4), c01);
-                c02 = _mm256_fmadd_pd(va0, _mm256_loadu_pd(bk + 8), c02);
-                c03 = _mm256_fmadd_pd(va0, _mm256_loadu_pd(bk + 12), c03);
-            }
-            _mm256_storeu_pd(out0 + j, c00);
-            _mm256_storeu_pd(out0 + j + 4, c01);
-            _mm256_storeu_pd(out0 + j + 8, c02);
-            _mm256_storeu_pd(out0 + j + 12, c03);
-        }
-        for (; j + 4 <= n; j += 4) {
-            __m256d c0 = tile_start(out0 + j, accumulate);
-            const double* pa0 = a0;
-            const double* bk = b + j;
-            for (std::size_t k = 0; k < kdim; ++k, pa0 += rk, bk += n) {
-                c0 = _mm256_fmadd_pd(_mm256_set1_pd(*pa0),
-                                     _mm256_loadu_pd(bk), c0);
-            }
-            _mm256_storeu_pd(out0 + j, c0);
-        }
-        for (; j < n; ++j) {
-            double s0 = accumulate ? out0[j] : 0.0;
-            const double* pa0 = a0;
-            const double* bk = b + j;
-            for (std::size_t k = 0; k < kdim; ++k, pa0 += rk, bk += n) {
-                s0 = std::fma(*pa0, *bk, s0);
-            }
-            out0[j] = s0;
-        }
+    if (i + 2 <= hi) {
+        gemm_strip<2>(dst + i * n, a + i * ri, ri, rk, b, kdim, n,
+                      accumulate);
+        i += 2;
+    }
+    if (i < hi) {
+        gemm_strip<1>(dst + i * n, a + i * ri, ri, rk, b, kdim, n,
+                      accumulate);
     }
 }
 

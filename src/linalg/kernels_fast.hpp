@@ -10,12 +10,16 @@
 // rows it names. The arithmetic performed for any single
 // destination element depends only on the operand shapes, never on the
 // [lo, hi) grouping — that is the fast tier's determinism contract
-// (identical bits run-to-run and across --threads). Within one element the
-// reduction uses a fixed tree: 4 SIMD accumulators filled in ascending k,
-// combined as ((acc0+acc1)+(acc2+acc3)), horizontal-summed in fixed lane
-// order, then the scalar tail folded in ascending order. FMA contraction
-// makes the results differ from the exact tier's plain multiply-add loops
-// by rounding only (≤1e-12 relative; asserted in linalg_kernels_test).
+// (identical bits run-to-run and across --threads). On the AVX2 path a
+// GEMM element (multiply_rows, transpose_multiply) is one FMA chain over
+// ascending k, started at +0.0 or at dst when accumulating, whatever the
+// register tile it lands in. A dot-product element (multiply_transposed,
+// masked_residual) uses a fixed tree: 4 SIMD accumulators filled in
+// ascending k, combined as ((acc0+acc1)+(acc2+acc3)), horizontal-summed in
+// fixed lane order, then the scalar tail folded in ascending order. FMA
+// contraction makes the results differ from the exact tier's plain
+// multiply-add loops by rounding only (≤1e-12 relative; asserted in
+// linalg_kernels_test).
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/context.hpp"
@@ -425,35 +429,36 @@ TEST(KernelTiers, PerKernelFlopCountersAttributed) {
 // either tier a product taken in row ranges — accumulated range by range
 // for transpose_multiply — has exactly the bits of the product taken
 // whole, at every split, and counts the same FLOPs. The shapes cross the
-// fast kernels' 16- and 4-wide column tiles, their row pairs and their
-// scalar tails.
+// fast GEMM's tile edges: 39 rows and 19 transposed rows end in a 4-row
+// strip, a 2-row strip and a 1-row strip, and 21 and 19 columns end in
+// masked tails of 5 and 3 columns.
 class RowRangeKernels : public ::testing::TestWithParam<bool> {};
 
 TEST_P(RowRangeKernels, RangesGiveTheBitsOfTheWholeProduct) {
     const KernelTierScope tier(GetParam() ? KernelTier::kFast
                                           : KernelTier::kExact);
     Rng rng(61);
-    const Matrix a = random_matrix(37, 19, rng);
+    const Matrix a = random_matrix(39, 19, rng);
     const Matrix b = random_matrix(19, 21, rng);
     const Matrix c = random_matrix(21, 19, rng);
-    const Matrix d = random_matrix(37, 18, rng);
-    const Matrix x = random_matrix(37, 19, rng);
-    Matrix ab_whole(37, 21);
+    const Matrix d = random_matrix(39, 19, rng);
+    const Matrix x = random_matrix(39, 19, rng);
+    Matrix ab_whole(39, 21);
     multiply_into(ab_whole, a, b);
-    Matrix act_whole(37, 21);
+    Matrix act_whole(39, 21);
     multiply_transposed_into(act_whole, a, c);
-    Matrix atd_whole(19, 18);
+    Matrix atd_whole(19, 19);
     transpose_multiply_into(atd_whole, a, d);
     Matrix axpy_whole = a;
     axpy(axpy_whole, 0.375, x);
-    for (const std::size_t block : {1, 2, 5, 16, 37}) {
-        Matrix ab = garbage(37, 21);
-        Matrix act = garbage(37, 21);
-        Matrix atd(19, 18);
+    for (const std::size_t block : {1, 2, 3, 5, 16, 39}) {
+        Matrix ab = garbage(39, 21);
+        Matrix act = garbage(39, 21);
+        Matrix atd(19, 19);
         Matrix ax = a;
         PipelineCounters counters;
-        for (std::size_t lo = 0; lo < 37; lo += block) {
-            const std::size_t hi = std::min<std::size_t>(37, lo + block);
+        for (std::size_t lo = 0; lo < 39; lo += block) {
+            const std::size_t hi = std::min<std::size_t>(39, lo + block);
             multiply_rows_into(rows_of(ab, lo, hi), rows_of(a, lo, hi), b,
                                &counters);
             multiply_transposed_rows_into(rows_of(act, lo, hi),
@@ -466,9 +471,9 @@ TEST_P(RowRangeKernels, RangesGiveTheBitsOfTheWholeProduct) {
         EXPECT_TRUE(act == act_whole) << "block " << block;
         EXPECT_TRUE(atd == atd_whole) << "block " << block;
         EXPECT_TRUE(ax == axpy_whole) << "block " << block;
-        EXPECT_EQ(counters.flops_multiply, 2u * 37u * 21u * 19u);
-        EXPECT_EQ(counters.flops_multiply_transposed, 2u * 37u * 21u * 19u);
-        EXPECT_EQ(counters.flops_transpose_multiply, 2u * 19u * 18u * 37u);
+        EXPECT_EQ(counters.flops_multiply, 2u * 39u * 21u * 19u);
+        EXPECT_EQ(counters.flops_multiply_transposed, 2u * 39u * 21u * 19u);
+        EXPECT_EQ(counters.flops_transpose_multiply, 2u * 19u * 19u * 39u);
     }
 }
 
@@ -519,6 +524,133 @@ TEST(RowRangeKernels, RangesShapesAndAliasingAreChecked) {
     transpose_into(mt, m);
     EXPECT_TRUE(mt == transpose(m));
     EXPECT_THROW(transpose_into(dst, m), Error);
+}
+
+// ---- The fast GEMM's FMA-chain contract ------------------------------
+//
+// On the AVX2 path each element of a GEMM — multiply_rows_into,
+// multiply_into, transpose_multiply_into and
+// transpose_multiply_rows_accumulate — is one FMA chain over ascending k,
+// started at +0.0, or at dst's value when accumulating. That is why the
+// register tiling and the row split cannot move the fast tier's bits.
+// Each element is checked bit for bit against that chain in scalar
+// std::fma. The row-range product writes into the first m rows of an
+// (m+1)-row matrix whose last row holds sentinels, so a tile or a column
+// mask that writes past the product fails too.
+
+// s = init, then s = fma(a(q), b(q), s) for q = 0, 1, …, kdim − 1.
+template <class A, class B>
+double fma_chain(double init, std::size_t kdim, A a, B b) {
+    double s = init;
+    for (std::size_t q = 0; q < kdim; ++q) {
+        s = std::fma(a(q), b(q), s);
+    }
+    return s;
+}
+
+TEST(FastGemm, EveryElementIsOneAscendingFmaChain) {
+    if (std::string(fast_kernel_path()) != "avx2+fma") {
+        GTEST_SKIP() << "path " << fast_kernel_path()
+                     << ": the blocked fallback skips zero terms and "
+                        "rounds each multiply and add apart";
+    }
+    const KernelTierScope tier(KernelTier::kFast);
+    constexpr double kSentinel = -777.25;
+    Rng rng(64);
+    std::size_t mismatches = 0;
+    // Counts every element whose bits differ from its chain; reports the
+    // first few.
+    const auto expect_bits = [&](double got, double want, const char* what,
+                                 std::size_t m, std::size_t k, std::size_t n,
+                                 std::size_t i, std::size_t j) {
+        if (std::bit_cast<std::uint64_t>(got) ==
+            std::bit_cast<std::uint64_t>(want)) {
+            return;
+        }
+        if (++mismatches <= 8) {
+            ADD_FAILURE() << what << " m=" << m << " k=" << k << " n=" << n
+                          << " at (" << i << ", " << j << "): " << got
+                          << " vs " << want;
+        }
+    };
+    std::vector<std::size_t> widths;
+    for (std::size_t n = 1; n <= 17; ++n) {
+        widths.push_back(n);
+    }
+    widths.insert(widths.end(), {40, 48, 60, 240});
+    for (const std::size_t m : {1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33}) {
+        for (const std::size_t k : {0, 1, 13, 16, 40, 240}) {
+            for (const std::size_t n : widths) {
+                const Matrix b = random_matrix(k, n, rng);
+
+                // a·b, whole and for m rows at offset 1 of a taller a.
+                const Matrix a = random_matrix(m, k, rng);
+                Matrix ab = garbage(m, n);
+                multiply_into(ab, a, b);
+                const Matrix tall = random_matrix(m + 1, k, rng);
+                Matrix view = Matrix::constant(m + 1, n, kSentinel);
+                multiply_rows_into(rows_of(view, 0, m),
+                                   rows_of(tall, 1, m + 1), b);
+                for (std::size_t i = 0; i < m; ++i) {
+                    for (std::size_t j = 0; j < n; ++j) {
+                        const auto b_col = [&](std::size_t q) {
+                            return b(q, j);
+                        };
+                        expect_bits(
+                            ab(i, j),
+                            fma_chain(0.0, k,
+                                      [&](std::size_t q) { return a(i, q); },
+                                      b_col),
+                            "multiply_into", m, k, n, i, j);
+                        expect_bits(view(i, j),
+                                    fma_chain(0.0, k,
+                                              [&](std::size_t q) {
+                                                  return tall(i + 1, q);
+                                              },
+                                              b_col),
+                                    "multiply_rows_into", m, k, n, i, j);
+                    }
+                }
+                for (std::size_t j = 0; j < n; ++j) {
+                    expect_bits(view(m, j), kSentinel,
+                                "multiply_rows_into sentinel", m, k, n, m, j);
+                }
+
+                // xᵀ·b (m x n), whole, and accumulated onto a nonzero dst
+                // from the k rows at offset 1 of a taller x and b.
+                const Matrix x = random_matrix(k, m, rng);
+                Matrix xtb = garbage(m, n);
+                transpose_multiply_into(xtb, x, b);
+                const Matrix x_tall = random_matrix(k + 1, m, rng);
+                const Matrix b_tall = random_matrix(k + 1, n, rng);
+                const Matrix start = random_matrix(m, n, rng);
+                Matrix acc = start;
+                transpose_multiply_rows_accumulate(
+                    acc, rows_of(x_tall, 1, k + 1), rows_of(b_tall, 1, k + 1));
+                for (std::size_t i = 0; i < m; ++i) {
+                    for (std::size_t j = 0; j < n; ++j) {
+                        expect_bits(
+                            xtb(i, j),
+                            fma_chain(0.0, k,
+                                      [&](std::size_t q) { return x(q, i); },
+                                      [&](std::size_t q) { return b(q, j); }),
+                            "transpose_multiply_into", m, k, n, i, j);
+                        expect_bits(acc(i, j),
+                                    fma_chain(start(i, j), k,
+                                              [&](std::size_t q) {
+                                                  return x_tall(q + 1, i);
+                                              },
+                                              [&](std::size_t q) {
+                                                  return b_tall(q + 1, j);
+                                              }),
+                                    "transpose_multiply_rows_accumulate", m,
+                                    k, n, i, j);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(KernelTiers, BlockedRandomizedSvdBitIdenticalUnderExactTier) {

@@ -840,18 +840,20 @@ int cmd_clean(const Args& args) {
 int cmd_serve(const Args& args) {
     const std::size_t n = args.count("participants");
     const std::size_t t = args.count("slots");
-    const mcs::ImportedTrace imported =
+    mcs::ImportedTrace imported =
         mcs::read_trace_csv_file(args.get("in"), n, t, 30.0);
 
+    // The stream takes the imported matrices over (only tau_s is read
+    // from `imported` after this), so each is held once.
+    mcs::Matrix stream_x = std::move(imported.dataset.x);
+    mcs::Matrix stream_y = std::move(imported.dataset.y);
+    mcs::Matrix stream_vx = std::move(imported.dataset.vx);
+    mcs::Matrix stream_vy = std::move(imported.dataset.vy);
+    mcs::Matrix stream_existence = std::move(imported.existence);
     // Structured adversary (§16), applied on the *client* side of the
     // daemon: colluded, replayed and degraded rows arrive through the
     // ingest path as individually valid-looking uploads, so boundary
     // validation cannot reject them — only the detector can.
-    mcs::Matrix stream_x = imported.dataset.x;
-    mcs::Matrix stream_y = imported.dataset.y;
-    mcs::Matrix stream_vx = imported.dataset.vx;
-    mcs::Matrix stream_vy = imported.dataset.vy;
-    mcs::Matrix stream_existence = imported.existence;
     mcs::AdversaryInjection adversary_result;
     if (args.has("adversary")) {
         const mcs::AdversaryInjector adversary(
